@@ -6,7 +6,8 @@ directory as model.json, history.csv, curve.csv, and repair.json, all with
 17-significant-digit numbers so reloading is lossless and reruns of the
 same manifest are byte-identical.
 
-Exit codes: 0 success, 1 configuration error, 2 divergence, 3 I/O error.
+Exit codes: 0 success, 1 configuration error (including a malformed
+model file or an ill-conditioned repair), 2 divergence, 3 I/O error.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import numpy as np
 from .losses import LossConfig
 from .model import DomainMap, SampleSet, SplineModel, evaluate
 from .optimizers import OptimizerConfig
-from .repair import repair_continuity
+from .repair import ConditioningError, repair_continuity
 from .training import TrainConfig, fit
 
 __all__ = [
@@ -163,14 +164,20 @@ def save_model(model: SplineModel, path):
 
 
 def load_model(path) -> SplineModel:
-    obj = json.loads(Path(path).read_text())
-    return SplineModel(
-        np.asarray(obj["breakpoints"], dtype=float),
-        int(obj["degree"]),
-        np.asarray(obj["coefficients"], dtype=float),
-        np.asarray(obj["centers"], dtype=float),
-        DomainMap(float(obj["domain_map"]["a"]), float(obj["domain_map"]["b"])),
-    )
+    path = Path(path)
+    obj = json.loads(path.read_text())
+    try:
+        return SplineModel(
+            np.asarray(obj["breakpoints"], dtype=float),
+            int(obj["degree"]),
+            np.asarray(obj["coefficients"], dtype=float),
+            np.asarray(obj["centers"], dtype=float),
+            DomainMap(float(obj["domain_map"]["a"]), float(obj["domain_map"]["b"])),
+        )
+    except KeyError as exc:
+        raise ValueError(f"{path}: model file lacks key {exc}") from None
+    except TypeError as exc:
+        raise ValueError(f"{path}: malformed model file: {exc}") from None
 
 
 def _write_history(history, path: Path):
@@ -228,7 +235,10 @@ def _run_fit(manifest: RunManifest):
     outdir.mkdir(parents=True, exist_ok=True)
     _write_history(report.history, outdir / "history.csv")
     if report.diverged:
-        print(f"diverged at epoch {report.diverged_epoch}: loss or gradient became non-finite")
+        cause = ("loss became non-finite" if report.diverged_segment is None else
+                 f"non-finite gradient at segment {report.diverged_segment}, "
+                 f"power {report.diverged_power}")
+        print(f"diverged at epoch {report.diverged_epoch}: {cause}")
         return 2, report, None
     model = report.final_model
     repair_report = None
@@ -434,7 +444,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except ValueError as exc:
+    except (ValueError, ConditioningError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:

@@ -7,9 +7,25 @@ The blended objective is
 where l2 is the segment/sample-count equilibrated squared error, ck sums
 squared derivative jumps at the breakpoints (optionally wrapping around for
 cyclic or periodic boundary handling), and strain is the exact integral of
-the squared second derivative.  Everything is a quadratic form in the
-coefficient matrix, so gradients are computed in closed form; fd_gradient
-provides an independent finite-difference oracle.
+the squared second derivative.  Everything is a fixed quadratic form in the
+coefficient matrix c:
+
+    total = 0.5 * c.H.c - linear.c + constant,    gradient = H.c - linear
+
+Segment i only meets segments i-1 and i+1 (and, across the wrap, segment m-1
+meets segment 0), so the Hessian H is block-tridiagonal with one corner
+block.  LossEngine assembles H and the linear term once per run, from the
+samples, the boundary derivative bases and the strain tables; the gradient
+is then a batched block mat-vec whose cost does not depend on the number of
+samples.
+
+Loss values come from the residual form instead (l2 from the sample
+residuals, ck from the jumps at every boundary in one batch, strain from its
+per-segment tables): the expanded form above loses digits when l2 is tiny.
+The training loop therefore calls LossEngine.breakdown only at record
+epochs, and tests each epoch's loss for finiteness through the cheap
+expanded value.  fd_gradient differentiates breakdown numerically and so
+stays an oracle independent of the assembled operator.
 
 All three terms are evaluated in internal (scaled) coordinates.  Functions
 here are pure; LossEngine only caches tables that depend on breakpoints and
@@ -96,73 +112,47 @@ def _sample_tables(model: SplineModel, samples: SampleSet):
     return seg, powers
 
 
-def _l2_value_grad(coeffs, seg, powers, ys, num_segments, want_grad):
-    f = np.einsum("nt,nt->n", powers, coeffs[seg])
-    r = f - ys
-    scale = num_segments / ys.size
-    value = scale * float(r @ r)
-    grad = None
-    if want_grad:
-        grad = np.zeros_like(coeffs)
-        np.add.at(grad, seg, (2.0 * scale) * r[:, None] * powers)
-    return value, grad
+def _l2_value(coeffs, seg, powers, ys):
+    r = np.einsum("nt,nt->n", powers, coeffs[seg]) - ys
+    return coeffs.shape[0] / ys.size * float(r @ r)
 
 
-def _derivative_basis(u, degree, orders):
-    """Rows of d^j/dx^j applied to the shifted monomials, evaluated at offset u."""
-    out = np.zeros((len(orders), degree + 1))
-    for row, j in enumerate(orders):
-        for t in range(j, degree + 1):
-            out[row, t] = math.perm(t, j) * u ** (t - j)
-    return out
+def _derivative_basis(u, degree, k):
+    """(len(u), k+1, d+1): row j holds d^j/dx^j of each shifted monomial at offset u."""
+    j = np.arange(k + 1)[:, None]
+    t = np.arange(degree + 1)
+    factors = np.array([[math.perm(s, row) for s in range(degree + 1)] for row in range(k + 1)],
+                       dtype=float)
+    return factors * u[:, None, None] ** np.maximum(t - j, 0)
 
 
-def _boundary_terms(model: SplineModel, config: LossConfig):
-    """Per-boundary (left_row, right_row, left_basis, right_basis) plus divisor.
+def _boundary_bases(model: SplineModel, config: LossConfig):
+    """Segment rows and derivative bases on both sides of every boundary, plus divisor.
 
-    The jump at a boundary is right_basis @ coeffs[right] - left_basis @
-    coeffs[left].  In cyclic/periodic mode a wrap-around term compares
-    derivative values at xi_0 and xi_m directly; cyclic mode drops its
-    value (j=0) row.
+    Boundary b joins segment left[b] at its right end to segment right[b] =
+    (left[b] + 1) mod m at its left end; its jumps are
+    basis_right[b] @ coeffs[right[b]] - basis_left[b] @ coeffs[left[b]].
+    The m-1 interior boundaries come first.  In cyclic/periodic mode one
+    wrap-around boundary follows, comparing derivative values at xi_m and
+    xi_0; cyclic mode zeroes its value (j=0) rows, so that jump is 0.
     """
     m = model.num_segments
-    xi = model.breakpoints
-    orders = range(config.k + 1)
-    terms = []
-    for b in range(1, m):
-        left, right = b - 1, b
-        terms.append(
-            (
-                left,
-                right,
-                _derivative_basis(xi[b] - model.centers[left], model.degree, orders),
-                _derivative_basis(xi[b] - model.centers[right], model.degree, orders),
-            )
-        )
-    if config.boundary_mode == "open":
-        return terms, max(m - 1, 1)
-    wrap_orders = range(1 if config.boundary_mode == "cyclic" else 0, config.k + 1)
-    terms.append(
-        (
-            m - 1,
-            0,
-            _derivative_basis(xi[-1] - model.centers[-1], model.degree, wrap_orders),
-            _derivative_basis(xi[0] - model.centers[0], model.degree, wrap_orders),
-        )
-    )
-    return terms, m
+    xi, centers = model.breakpoints, model.centers
+    wrap = config.boundary_mode != "open"
+    left = np.arange(m - 1 + wrap)
+    right = (left + 1) % m
+    basis_left = _derivative_basis(xi[left + 1] - centers[left], model.degree, config.k)
+    basis_right = _derivative_basis(xi[right] - centers[right], model.degree, config.k)
+    if config.boundary_mode == "cyclic":
+        basis_left[-1, 0] = basis_right[-1, 0] = 0.0
+    return left, right, basis_left, basis_right, (m if wrap else max(m - 1, 1))
 
 
-def _ck_value_grad(coeffs, terms, divisor, want_grad):
-    value = 0.0
-    grad = np.zeros_like(coeffs) if want_grad else None
-    for left, right, basis_left, basis_right in terms:
-        delta = basis_right @ coeffs[right] - basis_left @ coeffs[left]
-        value += float(delta @ delta)
-        if want_grad:
-            grad[right] += (2.0 / divisor) * (delta @ basis_right)
-            grad[left] -= (2.0 / divisor) * (delta @ basis_left)
-    return value / divisor, grad
+def _ck_value(coeffs, bases):
+    left, right, basis_left, basis_right, divisor = bases
+    jumps = (np.einsum("bjt,bt->bj", basis_right, coeffs[right])
+             - np.einsum("bjt,bt->bj", basis_left, coeffs[left]))
+    return float(np.einsum("bj,bj->", jumps, jumps)) / divisor
 
 
 def _strain_tables(model: SplineModel):
@@ -175,39 +165,43 @@ def _strain_tables(model: SplineModel):
     d = model.degree
     if d < 2:
         return None
-    q = d - 1  # number of surviving coefficients, powers 2..d
-    weights = np.array([(s + 2) * (s + 1) for s in range(q)], dtype=float)
-    lengths = np.diff(model.breakpoints)
-    tables = np.zeros((model.num_segments, q, q))
-    for i, h in enumerate(lengths):
-        half = h / 2.0
-        for s in range(q):
-            for t in range(q):
-                p = s + t
-                if p % 2 == 0:
-                    tables[i, s, t] = weights[s] * weights[t] * 2.0 * half ** (p + 1) / (p + 1)
-    return tables
+    s = np.arange(d - 1)  # surviving coefficients, powers 2..d
+    weights = (s + 2.0) * (s + 1.0)
+    p = np.add.outer(s, s)
+    half = np.diff(model.breakpoints)[:, None, None] / 2.0
+    return np.where(p % 2 == 0,
+                    np.outer(weights, weights) * 2.0 * half ** (p + 1) / (p + 1), 0.0)
 
 
-def _strain_value_grad(coeffs, tables, want_grad):
+def _strain_value(coeffs, tables):
     if tables is None:
-        return 0.0, (np.zeros_like(coeffs) if want_grad else None)
+        return 0.0
     upper = coeffs[:, 2:]
-    prods = np.einsum("ist,it->is", tables, upper)
-    value = float(np.einsum("is,is->", upper, prods))
-    grad = None
-    if want_grad:
-        grad = np.zeros_like(coeffs)
-        grad[:, 2:] = 2.0 * prods
-    return value, grad
+    return float(np.einsum("is,ist,it->", upper, tables, upper))
+
+
+def _segment_sums(seg, columns, m):
+    """(m, len(columns)) per-segment sums of each length-n column."""
+    return np.stack([np.bincount(seg, col, minlength=m) for col in columns], axis=1)
 
 
 class LossEngine:
-    """Caches sample/boundary/strain tables for repeated evaluation.
+    """Precomputed quadratic form of the blended loss for one model and sample set.
 
-    Built once per training run; per-epoch loss and gradient evaluations
-    reduce to a few small matrix products.  Reads model.coefficients live
-    on every call.
+    Built once per training run.  The constructor assembles the Hessian H
+    of total, the linear term and the constant, so that
+    total = 0.5 * c.H.c - linear.c + constant.  H is block-tridiagonal:
+    m diagonal blocks H[i, i], m-1 neighbour blocks H[i, i+1] (with
+    H[i+1, i] their transposes) and, in cyclic/periodic mode, one corner
+    block H[m-1, 0], each (d+1, d+1).  The assembly is vectorised: l2 blocks
+    come from per-segment bincount sums, ck blocks from all boundary
+    derivative bases at once.  gradient() is one batched block mat-vec
+    minus the linear term.
+
+    breakdown() returns the exact per-term values in residual form.  The
+    training loop calls it only at record epochs and tests every epoch for
+    divergence through the expanded value _expanded_total() reads off the
+    gradient.  Both read model.coefficients live on every call.
     """
 
     def __init__(self, model: SplineModel, samples: SampleSet, config: LossConfig):
@@ -216,38 +210,68 @@ class LossEngine:
         self.config = config
         self.seg, self.powers = _sample_tables(model, samples)
         self.ys = samples.ys
-        self.terms, self.divisor = _boundary_terms(model, config)
+        self.bases = _boundary_bases(model, config)
         self.strain_tables = _strain_tables(model)
+        self._assemble()
+
+    def _assemble(self):
+        m, width = self.model.coefficients.shape
+        d, cfg = width - 1, self.config
+        # l2: Gram block entries sum u**(s+t), so 2d+1 per-segment moments fill them
+        l2_scale = 2.0 * cfg.lam * m / self.ys.size
+        moments = _segment_sums(self.seg, (self.powers[:, min(p, d)] * self.powers[:, max(p - d, 0)]
+                                           for p in range(2 * d + 1)), m)
+        diag = l2_scale * moments[:, np.add.outer(np.arange(width), np.arange(width))]
+        self.linear = l2_scale * _segment_sums(self.seg, (self.ys[:, None] * self.powers).T, m)
+        self.constant = cfg.lam * m / self.ys.size * float(self.ys @ self.ys)
+        if cfg.strain_weight != 0.0 and self.strain_tables is not None:
+            diag[:, 2:, 2:] += 2.0 * cfg.strain_weight * self.strain_tables
+
+        # ck: boundary b adds L'L to H[left, left], R'R to H[right, right] and
+        # -L'R to H[left, right]; after[i] = H[i, (i+1) mod m] holds the m-1
+        # neighbour blocks, then the corner block (zero in open mode).  left
+        # and right each name a segment at most once, so fancy-index += is exact.
+        left, right, basis_left, basis_right, divisor = self.bases
+        ck_scale = 2.0 * (1.0 - cfg.lam) / divisor
+        diag[left] += ck_scale * np.einsum("bjs,bjt->bst", basis_left, basis_left)
+        diag[right] += ck_scale * np.einsum("bjs,bjt->bst", basis_right, basis_right)
+        after = np.zeros_like(diag)
+        after[left] = -ck_scale * np.einsum("bjs,bjt->bst", basis_left, basis_right)
+
+        # block row i is [H[i, i-1], H[i, i], H[i, i+1]] against c[i-1], c[i], c[i+1], mod m
+        before = np.roll(after, 1, axis=0).transpose(0, 2, 1)
+        self._rows = np.concatenate([before, diag, after], axis=2)
+        i = np.arange(m)
+        self._neighbours = np.stack([(i - 1) % m, i, (i + 1) % m], axis=1)
 
     def breakdown(self) -> LossBreakdown:
         coeffs = self.model.coefficients
-        l2, _ = _l2_value_grad(coeffs, self.seg, self.powers, self.ys,
-                               self.model.num_segments, False)
-        ck, _ = _ck_value_grad(coeffs, self.terms, self.divisor, False)
-        strain, _ = _strain_value_grad(coeffs, self.strain_tables, False)
+        l2 = _l2_value(coeffs, self.seg, self.powers, self.ys)
+        ck = _ck_value(coeffs, self.bases)
+        strain = _strain_value(coeffs, self.strain_tables)
         cfg = self.config
         total = cfg.lam * l2 + (1.0 - cfg.lam) * ck + cfg.strain_weight * strain
         return LossBreakdown(total=total, l2=l2, ck=ck, strain=strain)
 
     def gradient(self) -> np.ndarray:
         coeffs = self.model.coefficients
-        cfg = self.config
-        _, g_l2 = _l2_value_grad(coeffs, self.seg, self.powers, self.ys,
-                                 self.model.num_segments, True)
-        _, g_ck = _ck_value_grad(coeffs, self.terms, self.divisor, True)
-        out = cfg.lam * g_l2 + (1.0 - cfg.lam) * g_ck
-        if cfg.strain_weight != 0.0:
-            _, g_strain = _strain_value_grad(coeffs, self.strain_tables, True)
-            out += cfg.strain_weight * g_strain
-        return out
+        stacked = coeffs[self._neighbours].reshape(coeffs.shape[0], -1)
+        return np.einsum("ist,it->is", self._rows, stacked) - self.linear
+
+    def _expanded_total(self, grad: np.ndarray) -> float:
+        """total from gradient() at the current coefficients, without the residuals.
+
+        Costs two dot products, but carries absolute rounding error on the
+        scale of the constant term: a finiteness test, not a loss value.
+        """
+        coeffs = self.model.coefficients.ravel()
+        return 0.5 * float(coeffs @ grad.ravel() - self.linear.ravel() @ coeffs) + self.constant
 
 
 def l2_loss(model: SplineModel, samples: SampleSet) -> float:
     """(m/n) * sum of squared residuals; invariant to sample/segment counts."""
     seg, powers = _sample_tables(model, samples)
-    value, _ = _l2_value_grad(model.coefficients, seg, powers, samples.ys,
-                              model.num_segments, False)
-    return value
+    return _l2_value(model.coefficients, seg, powers, samples.ys)
 
 
 def ck_loss(model: SplineModel, config: LossConfig) -> float:
@@ -256,15 +280,12 @@ def ck_loss(model: SplineModel, config: LossConfig) -> float:
     Open mode with a single segment has no interior boundaries and scores 0.
     """
     _check_order(model, config)
-    terms, divisor = _boundary_terms(model, config)
-    value, _ = _ck_value_grad(model.coefficients, terms, divisor, False)
-    return value
+    return _ck_value(model.coefficients, _boundary_bases(model, config))
 
 
 def strain_loss(model: SplineModel) -> float:
     """Exact integral of the squared second derivative over the domain."""
-    value, _ = _strain_value_grad(model.coefficients, _strain_tables(model), False)
-    return value
+    return _strain_value(model.coefficients, _strain_tables(model))
 
 
 def total_loss(model: SplineModel, samples: SampleSet, config: LossConfig) -> LossBreakdown:

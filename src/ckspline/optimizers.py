@@ -85,6 +85,15 @@ def init_state(config: OptimizerConfig, shape) -> OptimizerState:
     return state
 
 
+def _first_non_finite(grads: np.ndarray) -> tuple[int, int] | None:
+    """(1-based segment, power) of the first NaN or infinite entry, else None."""
+    finite = np.isfinite(grads)
+    if finite.all():
+        return None
+    row, col = np.unravel_index(int(np.flatnonzero(~finite)[0]), grads.shape)
+    return int(row) + 1, int(col)
+
+
 def step(state: OptimizerState, config: OptimizerConfig,
          coefficients: np.ndarray, gradients: np.ndarray) -> None:
     """Apply exactly one update in place and advance the step counter."""
@@ -93,10 +102,9 @@ def step(state: OptimizerState, config: OptimizerConfig,
         raise ValueError(
             f"gradient shape {grads.shape} does not match coefficients {coefficients.shape}"
         )
-    finite = np.isfinite(grads)
-    if not finite.all():
-        row, col = np.unravel_index(int(np.flatnonzero(~finite)[0]), grads.shape)
-        raise NonFiniteGradientError(int(row) + 1, int(col))
+    location = _first_non_finite(grads)
+    if location is not None:
+        raise NonFiniteGradientError(*location)
 
     state.step_count += 1
     t = state.step_count

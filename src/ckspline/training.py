@@ -1,7 +1,8 @@
 """Full-batch training loop plus preprocessing and initialization.
 
-Each epoch evaluates the blended loss, its analytic gradient, optionally the
-degree-based gradient regularization, and one optimizer step.  Runs are
+Each epoch takes the blended loss's analytic gradient, optionally the
+degree-based gradient regularization, and one optimizer step; exact loss
+values are computed only at record epochs.  Runs are
 deterministic; divergence (non-finite loss or gradient) stops the loop early
 and is reported, not raised.
 """
@@ -17,7 +18,7 @@ import numpy as np
 
 from .losses import LossConfig, LossEngine, _sample_tables
 from .model import DomainMap, SampleSet, SplineModel
-from .optimizers import NonFiniteGradientError, OptimizerConfig, init_state, step
+from .optimizers import OptimizerConfig, _first_non_finite, init_state, step
 
 __all__ = [
     "TrainConfig",
@@ -78,6 +79,10 @@ class TrainingReport:
     final_model: SplineModel
     diverged: bool = False
     diverged_epoch: int | None = None
+    # first non-finite gradient entry (1-based segment, power) at the
+    # divergence; None when only the loss value had gone non-finite
+    diverged_segment: int | None = None
+    diverged_power: int | None = None
     rank_deficient_segments: tuple[int, ...] = ()
 
 
@@ -163,11 +168,22 @@ def least_squares_init(model: SplineModel, samples: SampleSet) -> SplineModel:
     return out
 
 
+def _exact_row(engine: LossEngine, epoch: int) -> HistoryRow | None:
+    """History row from the residual-form breakdown; None if its total is non-finite."""
+    exact = engine.breakdown()
+    if not math.isfinite(exact.total):
+        return None
+    return HistoryRow(epoch, exact.total, exact.l2, exact.ck, exact.strain)
+
+
 def fit(samples: SampleSet, config: TrainConfig) -> TrainingReport:
     """Run the training loop for exactly config.epochs iterations.
 
-    History is recorded every record_every epochs plus once after the final
-    update; recorded rows always satisfy the loss-blend identity.
+    Every epoch takes the gradient from the engine's precomputed operator and
+    tests the loss for finiteness through the expanded value read off that
+    gradient.  The exact residual-form breakdown runs only at record epochs
+    (every record_every epochs) and once after the final update; recorded
+    rows always satisfy the loss-blend identity.
     """
     loss_cfg = config.loss
     if loss_cfg.k > config.degree:
@@ -187,46 +203,47 @@ def fit(samples: SampleSet, config: TrainConfig) -> TrainingReport:
         coeffs, deficient = _least_squares_coefficients(model, samples)
         model.coefficients[:] = coeffs
 
-    engine = LossEngine(model, samples, loss_cfg)
     state = init_state(config.optimizer, model.coefficients.shape)
     reg = (regularization_vector(config.degree)
            if config.regularization == "degree_based" else None)
 
     history: list[HistoryRow] = []
-    diverged = False
     diverged_epoch: int | None = None
+    location: tuple[int, int] | None = None
     # divergence is detected via isfinite checks, so silence the transient
-    # overflow warnings a runaway run produces on its way there
+    # overflow warnings a runaway run (or data near the float limit, in the
+    # operator's assembly) produces on its way there
     with np.errstate(over="ignore", invalid="ignore"):
+        engine = LossEngine(model, samples, loss_cfg)
         for epoch in range(config.epochs):
-            breakdown = engine.breakdown()
-            if not math.isfinite(breakdown.total):
-                diverged, diverged_epoch = True, epoch
+            grads = engine.gradient()
+            # the expanded value is non-finite whenever the gradient is
+            if not math.isfinite(engine._expanded_total(grads)):
+                diverged_epoch, location = epoch, _first_non_finite(grads)
                 break
             if epoch % config.record_every == 0:
-                history.append(HistoryRow(epoch, breakdown.total, breakdown.l2,
-                                          breakdown.ck, breakdown.strain))
-            grads = engine.gradient()
+                row = _exact_row(engine, epoch)
+                if row is None:
+                    diverged_epoch = epoch
+                    break
+                history.append(row)
             if reg is not None:
                 grads = apply_regularization(grads, reg)
-            try:
-                step(state, config.optimizer, model.coefficients, grads)
-            except NonFiniteGradientError:
-                diverged, diverged_epoch = True, epoch
-                break
-
-        if not diverged:
-            breakdown = engine.breakdown()
-            if math.isfinite(breakdown.total):
-                history.append(HistoryRow(config.epochs, breakdown.total, breakdown.l2,
-                                          breakdown.ck, breakdown.strain))
+            step(state, config.optimizer, model.coefficients, grads)
+        else:
+            row = _exact_row(engine, config.epochs)
+            if row is None:
+                diverged_epoch = config.epochs
             else:
-                diverged, diverged_epoch = True, config.epochs
+                history.append(row)
 
+    segment, power = location or (None, None)
     return TrainingReport(
         history=history,
         final_model=model,
-        diverged=diverged,
+        diverged=diverged_epoch is not None,
         diverged_epoch=diverged_epoch,
+        diverged_segment=segment,
+        diverged_power=power,
         rank_deficient_segments=deficient,
     )

@@ -130,9 +130,40 @@ def test_fit_command_reports_divergence(tmp_path, capsys):
         "--optimizer", "sgd", "--lr", "10",
     ])
     assert code == 2
-    assert "diverged at epoch" in capsys.readouterr().out
+    out_text = capsys.readouterr().out
+    assert "diverged at epoch" in out_text and "loss became non-finite" in out_text
     assert (out / "history.csv").exists()
     assert not (out / "model.json").exists()
+
+
+def test_fit_command_reports_divergence_location(tmp_path, capsys):
+    data = tmp_path / "huge.csv"
+    data.write_text("x,y\n" + "".join(f"{x},1e308\n" for x in range(16)))
+    code = main(["fit", "--input", str(data), "--out", str(tmp_path / "run"),
+                 "--segments", "2", "--degree", "3", "--k", "1"])
+    assert code == 2
+    assert capsys.readouterr().out == (
+        "diverged at epoch 0: non-finite gradient at segment 1, power 0\n")
+
+
+def test_fit_command_ill_conditioned_repair_is_config_error(tmp_path, capsys):
+    data = write_line_data(tmp_path / "line.csv")
+    code = main(["fit", "--input", str(data), "--out", str(tmp_path / "run"),
+                 "--segments", "2", "--degree", "31", "--k", "15", "--repair",
+                 "--epochs", "5"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "ill-conditioned" in err
+    assert err.count("\n") == 1
+
+
+def test_eval_malformed_model_is_config_error(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"degree": 3}\n')
+    code = main(["eval", "--model", str(bad), "--out", str(tmp_path / "curve")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {bad}: model file lacks key 'breakpoints'\n"
 
 
 def test_fit_command_missing_input(tmp_path, capsys):

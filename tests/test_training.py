@@ -228,6 +228,24 @@ def test_fit_divergence_reported_not_raised():
     assert all(np.isfinite(row.total) for row in report.history)
 
 
+def test_fit_divergence_location():
+    # sgd at lr 10 overflows the loss value while the gradient is still
+    # finite, so no gradient entry is located
+    xs = np.linspace(0, 16, 64)
+    config = TrainConfig(segments=8, degree=5, epochs=3000,
+                         loss=LossConfig(lam=0.5, k=2),
+                         optimizer=OptimizerConfig("sgd", 10.0))
+    report = fit(SampleSet(xs, np.sin(xs)), config)
+    assert report.diverged
+    assert (report.diverged_segment, report.diverged_power) == (None, None)
+    # targets near the float limit overflow the linear term, so the very
+    # first gradient is non-finite; the first such entry is located
+    report = fit(SampleSet(xs, np.full(xs.size, 1e308)), config)
+    assert report.diverged and report.diverged_epoch == 0
+    assert (report.diverged_segment, report.diverged_power) == (1, 0)
+    assert report.history == []
+
+
 def test_fit_validates_continuity_order():
     with pytest.raises(ValueError, match="exceeds"):
         fit(line_samples(), TrainConfig(segments=1, degree=1, epochs=1,
