@@ -2,9 +2,9 @@
 
 Each epoch takes the blended loss's analytic gradient, optionally the
 degree-based gradient regularization, and one optimizer step; exact loss
-values are computed only at record epochs.  Runs are
-deterministic; divergence (non-finite loss or gradient) stops the loop early
-and is reported, not raised.
+values are computed only at record epochs.  Runs are deterministic;
+divergence (non-finite loss or gradient) stops the loop early and is
+reported, not raised.
 """
 
 from __future__ import annotations
