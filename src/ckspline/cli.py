@@ -17,16 +17,17 @@ import csv
 import json
 import math
 import sys
-from dataclasses import dataclass, fields, replace
+import typing
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
-from .losses import LossConfig
+from .losses import BOUNDARY_MODES, LossConfig
 from .model import DomainMap, SampleSet, SplineModel, evaluate
-from .optimizers import OptimizerConfig
+from .optimizers import OPTIMIZER_KINDS, OptimizerConfig
 from .repair import ConditioningError, repair_continuity
-from .training import TrainConfig, fit
+from .training import INITS, REGULARIZATIONS, SCALINGS, TrainConfig, fit
 
 __all__ = [
     "RunManifest",
@@ -191,18 +192,19 @@ def _write_history(history, path: Path):
 def _write_curve(model: SplineModel, k: int, resolution: int, path: Path):
     """Sampled curve and derivatives 0..k in data coordinates."""
     xi = model.breakpoints
-    grids = []
-    for i in range(model.num_segments):
-        grid = np.linspace(xi[i], xi[i + 1], resolution)
-        grids.append(grid if i == 0 else grid[1:])
-    internal = np.concatenate(grids)
-    xs = model.domain_map.inverse(internal)
-    columns = [xs] + [evaluate(model, xs, j) for j in range(k + 1)]
+    # one row per segment; each segment after the first skips its shared start
+    grid = np.linspace(xi[:-1], xi[1:], resolution, axis=1)
+    xs = model.domain_map.inverse(np.append(grid[0, 0], grid[:, 1:]))
+    # filled column by column: stacking a list of columns would hold the
+    # curve twice at the peak
+    table = np.empty((xs.size, k + 2))
+    table[:, 0] = xs
+    for j in range(k + 1):
+        table[:, j + 1] = evaluate(model, xs, j)
     header = "x,f" + "".join(f",d{j}" for j in range(1, k + 1))
     with path.open("w") as handle:
         handle.write(header + "\n")
-        for values in zip(*columns):
-            handle.write(",".join(_fmt(v) for v in values) + "\n")
+        np.savetxt(handle, table, fmt=f"%{_FMT}", delimiter=",")
 
 
 def _write_repair_report(report, path: Path):
@@ -320,20 +322,16 @@ def _read_manifest_file(path: Path) -> dict:
 
 def _build_manifest(args: argparse.Namespace) -> RunManifest:
     manifest = RunManifest()
-    lookup = {f.name: f.type for f in fields(RunManifest)}
-    types = {"input": str, "out": str, "model": str, "optimizer": str,
-             "regularization": str, "init": str, "scaling": str, "boundary_mode": str}
+    types = typing.get_type_hints(RunManifest)
     if getattr(args, "config", None):
         for key, raw in _read_manifest_file(Path(args.config)).items():
-            if key not in lookup:
+            if key not in types:
                 raise ValueError(f"unknown config key {key!r}")
-            current = getattr(manifest, key)
-            target = types.get(key, type(current))
-            setattr(manifest, key, _coerce(key, raw, target))
-    for entry in fields(RunManifest):
-        value = getattr(args, entry.name, None)
+            setattr(manifest, key, _coerce(key, raw, types[key]))
+    for name in types:
+        value = getattr(args, name, None)
         if value is not None:
-            setattr(manifest, entry.name, value)
+            setattr(manifest, name, value)
     return manifest
 
 
@@ -345,15 +343,15 @@ def _add_fit_flags(parser: argparse.ArgumentParser):
     parser.add_argument("--lambda", dest="lam", type=float,
                         help="blend weight between fit error and continuity")
     parser.add_argument("--epochs", type=int)
-    parser.add_argument("--optimizer", choices=("sgd", "adam", "adamax", "amsgrad"))
+    parser.add_argument("--optimizer", choices=OPTIMIZER_KINDS)
     parser.add_argument("--lr", type=float, help="learning rate")
     parser.add_argument("--momentum", type=float)
     parser.add_argument("--nesterov", action=argparse.BooleanOptionalAction, default=None)
-    parser.add_argument("--regularization", choices=("none", "degree_based"))
-    parser.add_argument("--init", choices=("zeros", "least_squares"))
-    parser.add_argument("--scaling", choices=("none", "unit_segments"))
+    parser.add_argument("--regularization", choices=REGULARIZATIONS)
+    parser.add_argument("--init", choices=INITS)
+    parser.add_argument("--scaling", choices=SCALINGS)
     parser.add_argument("--boundary-mode", dest="boundary_mode",
-                        choices=("open", "cyclic", "periodic"))
+                        choices=BOUNDARY_MODES)
     parser.add_argument("--strain-weight", dest="strain_weight", type=float)
     parser.add_argument("--record-every", dest="record_every", type=int)
 
@@ -432,7 +430,7 @@ def main(argv=None) -> int:
     repair_parser.add_argument("--model", help="model.json to repair")
     repair_parser.add_argument("--k", type=int)
     repair_parser.add_argument("--boundary-mode", dest="boundary_mode",
-                               choices=("open", "cyclic", "periodic"))
+                               choices=BOUNDARY_MODES)
     repair_parser.set_defaults(handler=_cmd_repair)
 
     eval_parser = sub.add_parser("eval", help="sample a saved model to curve.csv")

@@ -40,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import EDGE_SLACK, DomainError, SampleSet, SplineModel, _locate
+from .model import SampleSet, SplineModel, _boundaries, _locate, _one_sided
 
 __all__ = [
     "BOUNDARY_MODES",
@@ -95,18 +95,7 @@ def _check_order(model: SplineModel, config: LossConfig):
 
 def _sample_tables(model: SplineModel, samples: SampleSet):
     """Owning row per sample plus the (n, d+1) matrix of basis powers."""
-    t = np.asarray(model.domain_map.forward(samples.xs), dtype=float)
-    xi = model.breakpoints
-    slack = EDGE_SLACK * (xi[-1] - xi[0])
-    bad = (t < xi[0] - slack) | (t > xi[-1] + slack)
-    if bad.any():
-        i = int(np.flatnonzero(bad)[0])
-        raise DomainError(
-            f"sample {i} at x={samples.xs[i]!r} maps to {t[i]!r}, "
-            f"outside [{xi[0]!r}, {xi[-1]!r}]"
-        )
-    t = np.clip(t, xi[0], xi[-1])
-    seg = _locate(xi, t)
+    t, seg = _locate(model, model.domain_map.forward(samples.xs), samples.xs, "sample")
     u = t - model.centers[seg]
     powers = u[:, None] ** np.arange(model.degree + 1)
     return seg, powers
@@ -117,41 +106,24 @@ def _l2_value(coeffs, seg, powers, ys):
     return coeffs.shape[0] / ys.size * float(r @ r)
 
 
-def _derivative_basis(u, degree, k):
-    """(len(u), k+1, d+1): row j holds d^j/dx^j of each shifted monomial at offset u."""
-    j = np.arange(k + 1)[:, None]
-    t = np.arange(degree + 1)
-    factors = np.array([[math.perm(s, row) for s in range(degree + 1)] for row in range(k + 1)],
-                       dtype=float)
-    return factors * u[:, None, None] ** np.maximum(t - j, 0)
-
-
 def _boundary_bases(model: SplineModel, config: LossConfig):
-    """Segment rows and derivative bases on both sides of every boundary, plus divisor.
+    """The boundaries the ck loss compares (model._boundaries), plus its divisor.
 
-    Boundary b joins segment left[b] at its right end to segment right[b] =
-    (left[b] + 1) mod m at its left end; its jumps are
-    basis_right[b] @ coeffs[right[b]] - basis_left[b] @ coeffs[left[b]].
-    The m-1 interior boundaries come first.  In cyclic/periodic mode one
-    wrap-around boundary follows, comparing derivative values at xi_m and
-    xi_0; cyclic mode zeroes its value (j=0) rows, so that jump is 0.
+    The jumps at boundary b are right minus left one-sided derivative
+    values.  Cyclic mode zeroes the wrap-around boundary's value (j=0) rows,
+    so that jump is 0.
     """
     m = model.num_segments
-    xi, centers = model.breakpoints, model.centers
     wrap = config.boundary_mode != "open"
-    left = np.arange(m - 1 + wrap)
-    right = (left + 1) % m
-    basis_left = _derivative_basis(xi[left + 1] - centers[left], model.degree, config.k)
-    basis_right = _derivative_basis(xi[right] - centers[right], model.degree, config.k)
+    left, right, basis_left, basis_right = _boundaries(model, config.k, wrap)
     if config.boundary_mode == "cyclic":
         basis_left[-1, 0] = basis_right[-1, 0] = 0.0
-    return left, right, basis_left, basis_right, (m if wrap else max(m - 1, 1))
+    return (left, right, basis_left, basis_right), (m if wrap else max(m - 1, 1))
 
 
-def _ck_value(coeffs, bases):
-    left, right, basis_left, basis_right, divisor = bases
-    jumps = (np.einsum("bjt,bt->bj", basis_right, coeffs[right])
-             - np.einsum("bjt,bt->bj", basis_left, coeffs[left]))
+def _ck_value(coeffs, bases, divisor):
+    left_vals, right_vals = _one_sided(bases, coeffs)
+    jumps = right_vals - left_vals
     return float(np.einsum("bj,bj->", jumps, jumps)) / divisor
 
 
@@ -210,7 +182,7 @@ class LossEngine:
         self.config = config
         self.seg, self.powers = _sample_tables(model, samples)
         self.ys = samples.ys
-        self.bases = _boundary_bases(model, config)
+        self.bases, self.ck_divisor = _boundary_bases(model, config)
         self.strain_tables = _strain_tables(model)
         self._assemble()
 
@@ -231,8 +203,8 @@ class LossEngine:
         # -L'R to H[left, right]; after[i] = H[i, (i+1) mod m] holds the m-1
         # neighbour blocks, then the corner block (zero in open mode).  left
         # and right each name a segment at most once, so fancy-index += is exact.
-        left, right, basis_left, basis_right, divisor = self.bases
-        ck_scale = 2.0 * (1.0 - cfg.lam) / divisor
+        left, right, basis_left, basis_right = self.bases
+        ck_scale = 2.0 * (1.0 - cfg.lam) / self.ck_divisor
         diag[left] += ck_scale * np.einsum("bjs,bjt->bst", basis_left, basis_left)
         diag[right] += ck_scale * np.einsum("bjs,bjt->bst", basis_right, basis_right)
         after = np.zeros_like(diag)
@@ -247,7 +219,7 @@ class LossEngine:
     def breakdown(self) -> LossBreakdown:
         coeffs = self.model.coefficients
         l2 = _l2_value(coeffs, self.seg, self.powers, self.ys)
-        ck = _ck_value(coeffs, self.bases)
+        ck = _ck_value(coeffs, self.bases, self.ck_divisor)
         strain = _strain_value(coeffs, self.strain_tables)
         cfg = self.config
         total = cfg.lam * l2 + (1.0 - cfg.lam) * ck + cfg.strain_weight * strain
@@ -280,7 +252,7 @@ def ck_loss(model: SplineModel, config: LossConfig) -> float:
     Open mode with a single segment has no interior boundaries and scores 0.
     """
     _check_order(model, config)
-    return _ck_value(model.coefficients, _boundary_bases(model, config))
+    return _ck_value(model.coefficients, *_boundary_bases(model, config))
 
 
 def strain_loss(model: SplineModel) -> float:

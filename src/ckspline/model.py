@@ -158,10 +158,28 @@ class SplineModel:
         return evaluate(self, x, j)
 
 
-def _locate(breakpoints, t):
-    """0-based coefficient row for internal coordinates, half-open ownership."""
-    idx = np.searchsorted(breakpoints, t, side="right") - 1
-    return np.clip(idx, 0, breakpoints.size - 2)
+def _locate(model: SplineModel, t, x, noun: str = "point"):
+    """Internal coordinates t clipped into the domain, and their owning 0-based rows.
+
+    Ownership is half-open: an interior breakpoint belongs to the segment on
+    its right, and the last segment is closed at xi_m, so a row is the count
+    of interior breakpoints <= t (a binary search).  Points within EDGE_SLACK
+    of the domain ends are pulled onto them; any farther out, or NaN, raise
+    DomainError naming the first offender by its caller-side coordinate x.
+    """
+    xi = model.breakpoints
+    t = np.asarray(t, dtype=float)
+    slack = EDGE_SLACK * (xi[-1] - xi[0])
+    bad = np.flatnonzero(~((t >= xi[0] - slack) & (t <= xi[-1] + slack)))
+    if bad.size:
+        i = int(bad[0])
+        where = f"{noun} {i} at " if t.ndim else ""
+        raise DomainError(
+            f"{where}x={float(np.ravel(x)[i])!r} maps to {float(t.flat[i])!r}, "
+            f"outside spline domain [{xi[0]!r}, {xi[-1]!r}]"
+        )
+    t = np.clip(t, xi[0], xi[-1])
+    return t, np.searchsorted(xi[1:-1], t, side="right")
 
 
 def segment_index(model: SplineModel, x: float) -> int:
@@ -170,80 +188,94 @@ def segment_index(model: SplineModel, x: float) -> int:
     An interior breakpoint belongs to the segment on its right; the last
     segment is closed at xi_m.  Lookup is a binary search.
     """
-    xi = model.breakpoints
-    slack = EDGE_SLACK * (xi[-1] - xi[0])
-    if not xi[0] - slack <= x <= xi[-1] + slack:
-        raise DomainError(f"x={x!r} outside spline domain [{xi[0]!r}, {xi[-1]!r}]")
-    return int(_locate(xi, min(max(x, xi[0]), xi[-1]))) + 1
+    return int(_locate(model, x, x)[1]) + 1
 
 
 def _derivative_coefficients(coeffs, j):
-    """Coefficients of the j-th derivative in the same shifted basis."""
-    d = len(coeffs) - 1
-    if j == 0:
-        return np.asarray(coeffs, dtype=float)
+    """Coefficients of the j-th derivative, in the same shifted basis, of every row."""
+    if j < 0:
+        raise ValueError("derivative order must be >= 0")
+    d = coeffs.shape[1] - 1
     if j > d:
-        return np.zeros(1)
+        return np.zeros((coeffs.shape[0], 1))
     # Falling factorials t!/(t-j)! stay exact in integer arithmetic.
     factors = np.array([math.perm(t, j) for t in range(j, d + 1)], dtype=float)
-    return np.asarray(coeffs[j:], dtype=float) * factors
+    return coeffs[:, j:] * factors
 
 
-def _horner(coeffs, u):
-    acc = np.full_like(np.asarray(u, dtype=float), coeffs[-1])
-    for c in coeffs[-2::-1]:
-        acc = acc * u + c
+def _horner(coeffs, rows, u):
+    """sum_t coeffs[rows, t] * u**t, in place and one gathered column at a time.
+
+    Never holds a (len(u), d+1) gather, so extra memory stays at two arrays
+    the size of u.
+    """
+    acc = np.full(np.shape(u), coeffs[rows, -1])
+    for t in range(coeffs.shape[1] - 2, -1, -1):
+        acc *= u
+        acc += coeffs[rows, t]
     return acc
 
 
 def eval_segment(model: SplineModel, i: int, x, j: int = 0):
     """j-th derivative of segment i's polynomial at internal coordinate x.
 
-    x may lie outside the segment's own interval; the loss and repair code
-    rely on this to probe both neighbors of a shared breakpoint.
+    x may lie outside the segment's own interval, so both neighbors of a
+    shared breakpoint can be probed there.
     """
     m = model.num_segments
     if not 1 <= i <= m:
         raise IndexError(f"segment {i} out of range 1..{m}")
-    if j < 0:
-        raise ValueError("derivative order must be >= 0")
     u = np.asarray(x, dtype=float) - model.centers[i - 1]
-    if j > model.degree:
-        out = np.zeros_like(u)
-    else:
-        out = _horner(_derivative_coefficients(model.coefficients[i - 1], j), u)
+    out = _horner(_derivative_coefficients(model.coefficients[i - 1:i], j), 0, u)
     return float(out) if out.ndim == 0 else out
 
 
 def evaluate(model: SplineModel, x, j: int = 0):
     """j-th derivative with respect to data coordinates, at data coordinate x.
 
-    Maps x through the domain map, dispatches to the owning segment, and
-    applies the chain-rule factor a**j.
+    Maps x through the domain map, gathers the derivative coefficients of
+    each point's owning segment, runs one Horner pass over all points, and
+    applies the chain-rule factor a**j.  A scalar x returns a float.
     """
-    if np.ndim(x) == 0:
-        t = model.domain_map.forward(float(x))
-        i = segment_index(model, t)
-        xi = model.breakpoints
-        return eval_segment(model, i, min(max(t, xi[0]), xi[-1]), j) * model.domain_map.a**j
+    x = np.asarray(x, dtype=float)
+    t, rows = _locate(model, model.domain_map.forward(x), x)
+    t -= model.centers[rows]  # now the offset within each owning segment
+    out = _horner(_derivative_coefficients(model.coefficients, j), rows, t)
+    out *= model.domain_map.a**j
+    return float(out) if out.ndim == 0 else out
 
-    t = np.asarray(model.domain_map.forward(np.asarray(x, dtype=float)))
-    xi = model.breakpoints
-    slack = EDGE_SLACK * (xi[-1] - xi[0])
-    bad = (t < xi[0] - slack) | (t > xi[-1] + slack)
-    if bad.any():
-        offender = np.asarray(x, dtype=float)[bad][0]
-        raise DomainError(
-            f"x={offender!r} outside spline domain "
-            f"[{model.domain_map.inverse(xi[0])!r}, {model.domain_map.inverse(xi[-1])!r}]"
-        )
-    t = np.clip(t, xi[0], xi[-1])
-    seg = _locate(xi, t)
-    out = np.empty_like(t)
-    for row in np.unique(seg):
-        mask = seg == row
-        out[mask] = eval_segment(model, int(row) + 1, t[mask], j)
-    return out * model.domain_map.a**j
+
+def _derivative_basis(u, degree, k):
+    """(len(u), k+1, d+1): row j holds d^j/dx^j of each shifted monomial at offset u."""
+    j = np.arange(k + 1)[:, None]
+    t = np.arange(degree + 1)
+    factors = np.array([[math.perm(s, row) for s in range(degree + 1)] for row in range(k + 1)],
+                       dtype=float)
+    return factors * u[:, None, None] ** np.maximum(t - j, 0)
+
+
+def _boundaries(model: SplineModel, k: int, wrap: bool):
+    """Segment rows and order-0..k derivative bases on both sides of every boundary.
+
+    Boundary b joins row left[b] at its right end to row right[b] =
+    (left[b] + 1) mod m at its left end.  The m-1 interior boundaries come
+    first; with wrap, one wrap-around boundary follows, comparing derivative
+    values at xi_m and xi_0.  _one_sided turns the bases into values.
+    """
+    m = model.num_segments
+    xi, centers = model.breakpoints, model.centers
+    left = np.arange(m - 1 + wrap)
+    right = (left + 1) % m
+    return (left, right,
+            _derivative_basis(xi[left + 1] - centers[left], model.degree, k),
+            _derivative_basis(xi[right] - centers[right], model.degree, k))
+
+
+def _one_sided(boundaries, coeffs):
+    """(B, k+1) left and right one-sided derivative values at every boundary."""
+    left, right, basis_left, basis_right = boundaries
+    return (np.einsum("bjt,bt->bj", basis_left, coeffs[left]),
+            np.einsum("bjt,bt->bj", basis_right, coeffs[right]))
 
 
 def rebase(coeffs, old_center, new_center):

@@ -5,18 +5,20 @@ rarely zero.  For each boundary, both neighbor segments are nudged toward
 the mean of their derivative values there by adding a degree-(2k+1)
 corrective polynomial whose derivatives up to order k vanish at the
 segment's opposite end.  Corrections are local: no other boundary sees any
-derivative of order <= k change, so boundaries are handled independently.
+derivative of order <= k change, so all boundaries are handled as one batch:
+one read of the one-sided derivatives, one stack of Hermite systems (one per
+corrected segment side) and one batched solve.
 Requires spline degree >= 2k+1.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .model import SplineModel, eval_segment
+from .losses import BOUNDARY_MODES
+from .model import SplineModel, _boundaries, _derivative_basis, _one_sided
 
 __all__ = [
     "ConditioningError",
@@ -49,6 +51,30 @@ class RepairReport:
     max_correction: float
 
 
+def _hermite(left_x, left_derivs, right_x, right_derivs, center):
+    """Batched two_point_hermite: (S,) intervals and centers, (S, k+1) derivatives.
+
+    Each of the S confluent Vandermonde systems keeps its own nodes
+    (x - center) / length, rescaled to unit length; one conditioning check
+    covers the whole stack and one batched LU solve does them all.  Returns
+    (S, 2k+2) coefficients.
+    """
+    order = left_derivs.shape[1] - 1
+    size = 2 * order + 2
+    length = right_x - left_x
+    nodes = np.stack([left_x - center, right_x - center], axis=1) / length[:, None]
+    system = _derivative_basis(nodes.ravel(), size - 1, order).reshape(-1, size, size)
+    rhs = np.stack([left_derivs, right_derivs], axis=1)
+    rhs = rhs * length[:, None, None] ** np.arange(order + 1)
+    if (np.linalg.cond(system) > _MAX_CONDITION).any():
+        raise ConditioningError(
+            f"Hermite system for order k={order} is too ill-conditioned; "
+            "use a smaller k or rescale the segments"
+        )
+    solution = np.linalg.solve(system, rhs.reshape(-1, size, 1))[..., 0]
+    return solution / length[:, None] ** np.arange(size)
+
+
 def two_point_hermite(left_x: float, left_derivs, right_x: float, right_derivs,
                       center: float) -> np.ndarray:
     """Unique degree-(2k+1) polynomial with prescribed derivatives 0..k at both ends.
@@ -56,7 +82,8 @@ def two_point_hermite(left_x: float, left_derivs, right_x: float, right_derivs,
     Returns coefficients in the shifted basis about `center`.  The confluent
     Vandermonde system is solved with the interval rescaled to unit length,
     which keeps it well conditioned for practical k; LAPACK's partially
-    pivoted LU does the solve.
+    pivoted LU does the solve.  This is the one-system call of the batched
+    builder that repair_continuity uses.
     """
     left = np.asarray(left_derivs, dtype=float)
     right = np.asarray(right_derivs, dtype=float)
@@ -64,105 +91,57 @@ def two_point_hermite(left_x: float, left_derivs, right_x: float, right_derivs,
         raise ValueError("need matching derivative value lists for both endpoints")
     if not left_x < right_x:
         raise ValueError(f"left_x={left_x!r} must be < right_x={right_x!r}")
-
-    order = left.size - 1
-    size = 2 * order + 2
-    length = float(right_x) - float(left_x)
-    nodes = ((left_x - center) / length, (right_x - center) / length)
-
-    system = np.zeros((size, size))
-    rhs = np.zeros(size)
-    row = 0
-    for node, derivs in zip(nodes, (left, right)):
-        for j in range(order + 1):
-            for t in range(j, size):
-                system[row, t] = math.perm(t, j) * node ** (t - j)
-            rhs[row] = derivs[j] * length**j
-            row += 1
-    if np.linalg.cond(system) > _MAX_CONDITION:
-        raise ConditioningError(
-            f"Hermite system for order k={order} is too ill-conditioned; "
-            "use a smaller k or rescale the segments"
-        )
-    solution = np.linalg.solve(system, rhs)
-    return solution / length ** np.arange(size)
-
-
-def _boundary_list(model: SplineModel, boundary_mode: str):
-    """(position, left_row, right_row, left_eval_x, right_eval_x) per boundary."""
-    xi = model.breakpoints
-    m = model.num_segments
-    out = [(xi[b], b - 1, b, xi[b], xi[b]) for b in range(1, m)]
-    if boundary_mode in ("cyclic", "periodic"):
-        out.append((xi[-1], m - 1, 0, xi[-1], xi[0]))
-    return out
-
-
-def _defect_rows(model, boundaries, k):
-    pre = np.zeros((len(boundaries), k + 1))
-    for row, (_, left, right, x_left, x_right) in enumerate(boundaries):
-        for j in range(k + 1):
-            pre[row, j] = (eval_segment(model, right + 1, x_right, j)
-                           - eval_segment(model, left + 1, x_left, j))
-    return pre
+    left_x, right_x, center = (np.array([v], dtype=float) for v in (left_x, right_x, center))
+    return _hermite(left_x, left[None], right_x, right[None], center)[0]
 
 
 def repair_continuity(model: SplineModel, k: int, boundary_mode: str = "open"):
     """Zero the derivative jumps of order <= k at every boundary.
 
     Returns a repaired copy of the model plus a RepairReport.  Each boundary
-    contributes one corrector to each neighbor segment; correctors are built
-    from the unrepaired model (they are independent by construction) and
-    applied left to right for bit-reproducible results.  With cyclic
+    contributes one corrector to each neighbor segment; all correctors are
+    built at once from the unrepaired model (they are independent by
+    construction).  Each segment adds the corrector for its left end before
+    the one for its right end, so results are bit-reproducible.  With cyclic
     boundary handling the wrap-around boundary aligns derivatives 1..k and
     leaves each endpoint value unchanged; periodic aligns the values too.
     """
     if k < 0:
         raise ValueError("continuity order k must be >= 0")
-    if boundary_mode not in ("open", "cyclic", "periodic"):
-        raise ValueError("boundary_mode must be open, cyclic, or periodic")
+    if boundary_mode not in BOUNDARY_MODES:
+        raise ValueError(f"boundary_mode must be one of {BOUNDARY_MODES}")
     if model.degree < 2 * k + 1:
         raise ValueError(
             f"repair with continuity order k={k} requires degree >= {2 * k + 1}, "
             f"got {model.degree}"
         )
 
-    xi = model.breakpoints
-    boundaries = _boundary_list(model, boundary_mode)
-    pre = _defect_rows(model, boundaries, k)
-    means = np.zeros_like(pre)
-    wrap_row = len(boundaries) - 1 if boundary_mode in ("cyclic", "periodic") else None
+    xi, centers = model.breakpoints, model.centers
+    bases = _boundaries(model, k, boundary_mode != "open")
+    left, right = bases[:2]
+    left_vals, right_vals = _one_sided(bases, model.coefficients)
+    means = 0.5 * (left_vals + right_vals)
+    target_left, target_right = means - left_vals, means - right_vals
+    if boundary_mode == "cyclic":
+        # the wrap value is allowed to differ; only derivatives align
+        target_left[-1, 0] = target_right[-1, 0] = 0.0
 
-    corrections = []  # (segment_row, coefficient vector) in application order
-    for row, (_, left, right, x_left, x_right) in enumerate(boundaries):
-        left_vals = np.array([eval_segment(model, left + 1, x_left, j) for j in range(k + 1)])
-        right_vals = np.array([eval_segment(model, right + 1, x_right, j) for j in range(k + 1)])
-        mean = 0.5 * (left_vals + right_vals)
-        means[row] = mean
-        target_left = mean - left_vals
-        target_right = mean - right_vals
-        if row == wrap_row and boundary_mode == "cyclic":
-            # the wrap value is allowed to differ; only derivatives align
-            target_left[0] = 0.0
-            target_right[0] = 0.0
-        zeros = np.zeros(k + 1)
-        corrections.append((left, two_point_hermite(
-            xi[left], zeros, xi[left + 1], target_left, model.centers[left])))
-        corrections.append((right, two_point_hermite(
-            xi[right], target_right, xi[right + 1], zeros, model.centers[right])))
-
+    # one system per corrected side: right[b]'s left end, then left[b]'s right end
+    sides = np.concatenate([right, left])
+    zeros = np.zeros_like(means)
+    corrections = _hermite(xi[sides], np.concatenate([target_right, zeros]),
+                           xi[sides + 1], np.concatenate([zeros, target_left]), centers[sides])
     repaired = model.copy()
     width = 2 * k + 2
-    max_correction = 0.0
-    for segment_row, corrector in corrections:
-        repaired.coefficients[segment_row, :width] += corrector
-        max_correction = max(max_correction, float(np.abs(corrector).max()))
+    repaired.coefficients[right, :width] += corrections[:right.size]
+    repaired.coefficients[left, :width] += corrections[right.size:]
 
+    post_left, post_right = _one_sided(bases, repaired.coefficients)
     report = RepairReport(
-        positions=tuple(float(b[0]) for b in boundaries),
-        pre_defects=pre,
-        post_defects=_defect_rows(repaired, boundaries, k),
+        positions=tuple(xi[left + 1].tolist()),
+        pre_defects=right_vals - left_vals,
+        post_defects=post_right - post_left,
         mean_targets=means,
-        max_correction=max_correction,
+        max_correction=float(np.abs(corrections).max(initial=0.0)),
     )
     return repaired, report

@@ -195,6 +195,18 @@ def test_repair_cyclic_wrap_keeps_values():
     assert eval_segment(repaired, 1, 0.0) == pytest.approx(right_value, rel=1e-12)
 
 
+def test_repair_badly_scaled_non_uniform_periodic():
+    # far from the origin, with widths over four decades, the Hermite nodes
+    # (x - center) / length miss +-0.5 in their last bits; every corrected
+    # side must solve with its own segment's nodes to stay exact (one shared
+    # +-0.5 system leaves defects near 1e-4 of the jumps here)
+    rng = np.random.default_rng(29)
+    xi = 1e3 + np.concatenate([[0.0], np.cumsum(10.0 ** rng.uniform(-2, 2, 8))])
+    model = SplineModel.from_breakpoints(xi, 7, rng.uniform(-1, 1, (8, 8)))
+    _, report = repair_continuity(model, 3, boundary_mode="periodic")
+    assert np.abs(report.post_defects).max() <= 1e-8 * np.abs(report.pre_defects).max()
+
+
 def test_repair_single_segment_periodic():
     model = model_from_global([0, 1], 3, [[0, 1]])  # p(x) = x, ends differ
     repaired, report = repair_continuity(model, 1, boundary_mode="periodic")
