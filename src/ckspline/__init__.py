@@ -42,6 +42,7 @@ from .training import (
     TrainingReport,
     apply_regularization,
     fit,
+    fit_sweep,
     least_squares_init,
     make_scaled_problem,
     regularization_vector,
@@ -71,6 +72,7 @@ __all__ = [
     "evaluate",
     "fd_gradient",
     "fit",
+    "fit_sweep",
     "gradient",
     "init_state",
     "l2_loss",

@@ -27,7 +27,7 @@ from .losses import BOUNDARY_MODES, LossConfig
 from .model import DomainMap, SampleSet, SplineModel, evaluate
 from .optimizers import OPTIMIZER_KINDS, OptimizerConfig
 from .repair import ConditioningError, repair_continuity
-from .training import INITS, REGULARIZATIONS, SCALINGS, TrainConfig, fit
+from .training import INITS, REGULARIZATIONS, SCALINGS, TrainConfig, fit, fit_sweep
 
 __all__ = [
     "RunManifest",
@@ -41,6 +41,7 @@ __all__ = [
 ]
 
 _FMT = ".17g"
+_CURVE_CHUNK = 4096  # curve.csv rows formatted per write
 _KEY_ALIASES = {"lambda": "lam"}
 
 
@@ -202,9 +203,13 @@ def _write_curve(model: SplineModel, k: int, resolution: int, path: Path):
     for j in range(k + 1):
         table[:, j + 1] = evaluate(model, xs, j)
     header = "x,f" + "".join(f",d{j}" for j in range(1, k + 1))
+    line = ",".join([f"%{_FMT}"] * table.shape[1]) + "\n"
     with path.open("w") as handle:
         handle.write(header + "\n")
-        np.savetxt(handle, table, fmt=f"%{_FMT}", delimiter=",")
+        # one %-format per chunk of rows; chunks keep the text's peak small
+        for start in range(0, len(table), _CURVE_CHUNK):
+            chunk = table[start:start + _CURVE_CHUNK]
+            handle.write((line * len(chunk)) % tuple(chunk.ravel().tolist()))
 
 
 def _write_repair_report(report, path: Path):
@@ -226,13 +231,21 @@ def run(manifest: RunManifest) -> int:
     return code
 
 
-def _run_fit(manifest: RunManifest):
+def _check_fit(manifest: RunManifest):
     if manifest.resolution < 2:
         raise ValueError("resolution must be >= 2")
     if not manifest.input or not manifest.out:
         raise ValueError("input and out paths must be set")
+
+
+def _run_fit(manifest: RunManifest):
+    _check_fit(manifest)
     samples = load_samples(manifest.input)
-    report = fit(samples, manifest.to_train_config())
+    return _write_fit(manifest, fit(samples, manifest.to_train_config()))
+
+
+def _write_fit(manifest: RunManifest, report):
+    """One fit's result files under manifest.out and its stdout line; exit code first."""
     outdir = Path(manifest.out)
     outdir.mkdir(parents=True, exist_ok=True)
     _write_history(report.history, outdir / "history.csv")
@@ -256,7 +269,12 @@ def _run_fit(manifest: RunManifest):
 
 
 def sweep(manifest: RunManifest, lambda_values) -> int:
-    """One fit plus repair per lambda, under out/lambda_<value>/, plus summary.csv."""
+    """One fit plus repair per lambda, under out/lambda_<value>/, plus summary.csv.
+
+    The samples are loaded once and all lambdas train in lockstep
+    (training.fit_sweep); each lambda's files are then written in order,
+    and the first diverged lambda ends the sweep with exit code 2.
+    """
     values = list(lambda_values)
     if not values:
         raise ValueError("lambda list must not be empty")
@@ -269,18 +287,23 @@ def sweep(manifest: RunManifest, lambda_values) -> int:
         )
     outdir = Path(manifest.out)
     seen: dict[str, int] = {}
-    rows = []
+    subs = []
     for value in values:
         name = f"lambda_{value:g}"
         seen[name] = seen.get(name, 0) + 1
         if seen[name] > 1:
             name = f"{name}_{seen[name]}"
-        sub = replace(manifest, lam=value, out=str(outdir / name), repair=True)
-        code, report, repair_report = _run_fit(sub)
+        subs.append(replace(manifest, lam=value, out=str(outdir / name), repair=True))
+    _check_fit(subs[0])
+    samples = load_samples(manifest.input)
+    reports = fit_sweep(samples, subs[0].to_train_config(), values)
+    rows = []
+    for sub, report in zip(subs, reports):
+        code, report, repair_report = _write_fit(sub, report)
         if code != 0:
             return code
         final = report.history[-1]
-        rows.append((value, final.total, final.l2, final.ck,
+        rows.append((sub.lam, final.total, final.l2, final.ck,
                      float(np.abs(repair_report.post_defects).max())
                      if repair_report.post_defects.size else 0.0))
     with (outdir / "summary.csv").open("w") as handle:

@@ -35,6 +35,7 @@ up without rebuilding.
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass
 
@@ -157,6 +158,41 @@ def _segment_sums(seg, columns, m):
     return np.stack([np.bincount(seg, col, minlength=m) for col in columns], axis=1)
 
 
+def _row_axes(m: int) -> tuple[int, int, int]:
+    """Axis order in which the (m, w, 3w) block rows are stored C-contiguous.
+
+    einsum's summation order follows the operands' memory layout.  With
+    these layouts each block is summed in the order np.concatenate's output
+    gives a single run, and in that same order for any number of stacked
+    blocks, so a run of a sweep gets its solo gradient bit for bit.  Both
+    orders are their own inverse.
+    """
+    return (0, 1, 2) if m == 1 else (0, 2, 1)
+
+
+def _block_matvec(rows, neighbours, coeffs):
+    """H.c for a stack of runs, with the run and segment axes merged into blocks.
+
+    rows is (B, w, 3w) in the memory order of _row_axes, neighbours (B, 3)
+    and coeffs (B, w): block b's row multiplies the three coefficient rows
+    coeffs[neighbours[b]].  One run is the B = m case.
+    """
+    return np.einsum("ist,it->is", rows, coeffs[neighbours].reshape(len(coeffs), -1))
+
+
+def _expanded_totals(coeffs, grads, linear, constant):
+    """total = 0.5*c.g - 0.5*linear.c + constant for each run of an (L, m, w) stack.
+
+    Reads the value off the gradient g at c, without the residuals.  Costs
+    two dot products per run, but carries absolute rounding error on
+    the scale of the constant term: a finiteness test, not a loss value.
+    """
+    c = coeffs.reshape(len(coeffs), -1, 1)
+    g = grads.reshape(len(coeffs), 1, -1)
+    lin = linear.reshape(len(coeffs), 1, -1)
+    return 0.5 * (g @ c - lin @ c)[:, 0, 0] + constant
+
+
 class LossEngine:
     """Precomputed quadratic form of the blended loss for one model and sample set.
 
@@ -172,8 +208,10 @@ class LossEngine:
 
     breakdown() returns the exact per-term values in residual form.  The
     training loop calls it only at record epochs and tests every epoch for
-    divergence through the expanded value _expanded_total() reads off the
-    gradient.  Both read model.coefficients live on every call.
+    divergence through the expanded value _expanded_totals() reads off the
+    gradient.  Both read model.coefficients live on every call.  A sweep
+    trains one engine per lambda; they share their tables and, through
+    _EngineStack, one gradient call per epoch.
     """
 
     def __init__(self, model: SplineModel, samples: SampleSet, config: LossConfig):
@@ -212,7 +250,9 @@ class LossEngine:
 
         # block row i is [H[i, i-1], H[i, i], H[i, i+1]] against c[i-1], c[i], c[i+1], mod m
         before = np.roll(after, 1, axis=0).transpose(0, 2, 1)
-        self._rows = np.concatenate([before, diag, after], axis=2)
+        axes = _row_axes(m)
+        rows = np.concatenate([before, diag, after], axis=2)
+        self._rows = rows.transpose(axes).copy().transpose(axes)
         i = np.arange(m)
         self._neighbours = np.stack([(i - 1) % m, i, (i + 1) % m], axis=1)
 
@@ -226,18 +266,64 @@ class LossEngine:
         return LossBreakdown(total=total, l2=l2, ck=ck, strain=strain)
 
     def gradient(self) -> np.ndarray:
-        coeffs = self.model.coefficients
-        stacked = coeffs[self._neighbours].reshape(coeffs.shape[0], -1)
-        return np.einsum("ist,it->is", self._rows, stacked) - self.linear
+        return _block_matvec(self._rows, self._neighbours, self.model.coefficients) - self.linear
 
     def _expanded_total(self, grad: np.ndarray) -> float:
-        """total from gradient() at the current coefficients, without the residuals.
+        """total from gradient() at the current coefficients; see _expanded_totals."""
+        return float(_expanded_totals(self.model.coefficients[None], grad[None],
+                                      self.linear[None], self.constant)[0])
 
-        Costs two dot products, but carries absolute rounding error on the
-        scale of the constant term: a finiteness test, not a loss value.
+    def _sharing_tables(self, model: SplineModel, config: LossConfig) -> "LossEngine":
+        """Engine for config over model, reusing this engine's tables.
+
+        model must have this engine's breakpoints and degree, and config may
+        differ from this engine's only in lam: the sample tables, boundary
+        bases and strain tables are shared, not copied.
         """
-        coeffs = self.model.coefficients.ravel()
-        return 0.5 * float(coeffs @ grad.ravel() - self.linear.ravel() @ coeffs) + self.constant
+        other = copy.copy(self)
+        other.model, other.config = model, config
+        other._assemble()
+        return other
+
+
+class _EngineStack:
+    """The operators of several engines over one problem, for one kernel call per epoch.
+
+    Holds the block rows of all L runs in one array, which the engines then
+    view, and their linear terms and constants as (L, m, w) and (L,)
+    stacks.  gradients() and expanded_totals() take an (L, m, w)
+    coefficient stack, one row per engine in order.
+    """
+
+    def __init__(self, engines):
+        m = len(engines[0].linear)
+        self._storage = np.stack([engine._rows.transpose(_row_axes(m)) for engine in engines])
+        self.linear = np.stack([engine.linear for engine in engines])
+        self.constant = np.array([engine.constant for engine in engines])
+        self._neighbours = engines[0]._neighbours
+        self._restack()
+        for r, engine in enumerate(engines):
+            engine._rows = self.rows[r * m:(r + 1) * m]
+
+    def _restack(self):
+        """The (L*m, w, 3w) block rows and the coefficient rows each block multiplies."""
+        runs, m = self.linear.shape[:2]
+        blocks = self._storage.reshape(runs * m, *self._storage.shape[2:])
+        self.rows = blocks.transpose(_row_axes(m))
+        self.neighbours = (m * np.arange(runs)[:, None, None] + self._neighbours).reshape(-1, 3)
+
+    def gradients(self, coeffs: np.ndarray) -> np.ndarray:
+        blocks = coeffs.reshape(-1, coeffs.shape[-1])
+        return _block_matvec(self.rows, self.neighbours, blocks).reshape(coeffs.shape) - self.linear
+
+    def expanded_totals(self, coeffs: np.ndarray, grads: np.ndarray) -> np.ndarray:
+        return _expanded_totals(coeffs, grads, self.linear, self.constant)
+
+    def keep(self, mask: np.ndarray):
+        """Drop the runs whose mask entry is False."""
+        self._storage, self.linear, self.constant = (
+            self._storage[mask], self.linear[mask], self.constant[mask])
+        self._restack()
 
 
 def l2_loss(model: SplineModel, samples: SampleSet) -> float:

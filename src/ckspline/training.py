@@ -1,22 +1,22 @@
 """Full-batch training loop plus preprocessing and initialization.
 
 Each epoch takes the blended loss's analytic gradient, optionally the
-degree-based gradient regularization, and one optimizer step; exact loss
-values are computed only at record epochs.  Runs are deterministic;
-divergence (non-finite loss or gradient) stops the loop early and is
-reported, not raised.
+degree-based gradient regularization, and one optimizer step, for every
+lambda of a sweep at once; exact loss values are computed only at record
+epochs.  Runs are deterministic; divergence (non-finite loss or gradient)
+stops a run early and is reported, not raised.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
 import numpy as np
 
-from .losses import LossConfig, LossEngine, _sample_tables
+from .losses import LossConfig, LossEngine, _EngineStack, _sample_tables
 from .model import DomainMap, SampleSet, SplineModel
 from .optimizers import OptimizerConfig, _first_non_finite, init_state, step
 
@@ -29,6 +29,7 @@ __all__ = [
     "make_scaled_problem",
     "least_squares_init",
     "fit",
+    "fit_sweep",
 ]
 
 REGULARIZATIONS = ("none", "degree_based")
@@ -140,24 +141,33 @@ def make_scaled_problem(samples: SampleSet, segments: int, degree: int,
 def _least_squares_coefficients(model: SplineModel, samples: SampleSet):
     """Independent per-segment least squares in the shifted basis.
 
-    Solves the normal equations per segment; a rank-deficient segment falls
-    back to the minimum-norm solution and is flagged (1-based numbers).
+    Segments with the same sample count are solved as one batch: one rank
+    test over the stack of their design matrices and one batched solve of
+    the normal equations.  A short or rank-deficient segment falls back to
+    the minimum-norm solution and is flagged (1-based numbers).
     """
     seg, powers = _sample_tables(model, samples)
-    width = model.degree + 1
+    m, width = model.coefficients.shape
+    # each segment's samples, contiguous and in their original order
+    order = np.argsort(seg, kind="stable")
+    counts = np.bincount(seg, minlength=m)
+    starts = np.cumsum(counts) - counts
     coeffs = np.zeros_like(model.coefficients)
-    deficient = []
-    for i in range(model.num_segments):
-        mask = seg == i
-        design = powers[mask]
-        targets = samples.ys[mask]
-        if design.shape[0] >= width and np.linalg.matrix_rank(design) == width:
-            coeffs[i] = np.linalg.solve(design.T @ design, design.T @ targets)
-        else:
-            if design.shape[0]:
-                coeffs[i] = np.linalg.lstsq(design, targets, rcond=None)[0]
-            deficient.append(i + 1)
-    return coeffs, tuple(deficient)
+    solved = np.zeros(m, dtype=bool)
+    for count in np.unique(counts[counts >= width]):
+        group = np.flatnonzero(counts == count)
+        rows = order[starts[group, None] + np.arange(count)]
+        design, targets = powers[rows], samples.ys[rows]
+        full = np.linalg.matrix_rank(design) == width
+        design, targets, group = design[full], targets[full, :, None], group[full]
+        design_t = design.transpose(0, 2, 1)
+        coeffs[group] = np.linalg.solve(design_t @ design, design_t @ targets)[..., 0]
+        solved[group] = True
+    deficient = np.flatnonzero(~solved)
+    for i in deficient[counts[deficient] > 0]:
+        rows = order[starts[i]:starts[i] + counts[i]]
+        coeffs[i] = np.linalg.lstsq(powers[rows], samples.ys[rows], rcond=None)[0]
+    return coeffs, tuple(int(i) + 1 for i in deficient)
 
 
 def least_squares_init(model: SplineModel, samples: SampleSet) -> SplineModel:
@@ -179,12 +189,33 @@ def _exact_row(engine: LossEngine, epoch: int) -> HistoryRow | None:
 def fit(samples: SampleSet, config: TrainConfig) -> TrainingReport:
     """Run the training loop for exactly config.epochs iterations.
 
-    Every epoch takes the gradient from the engine's precomputed operator and
-    tests the loss for finiteness through the expanded value read off that
-    gradient.  The exact residual-form breakdown runs only at record epochs
-    (every record_every epochs) and once after the final update; recorded
-    rows always satisfy the loss-blend identity.
+    The one-run case of fit_sweep, at config.loss.lam.  Every epoch takes
+    the gradient from the engine's precomputed operator and tests the loss
+    for finiteness through the expanded value read off that gradient.  The
+    exact residual-form breakdown runs only at record epochs (every
+    record_every epochs) and once after the final update; recorded rows
+    always satisfy the loss-blend identity.
     """
+    return fit_sweep(samples, config, [config.loss.lam])[0]
+
+
+def fit_sweep(samples: SampleSet, config: TrainConfig, lambdas) -> list[TrainingReport]:
+    """One training run per blend weight in lambdas, all trained in lockstep.
+
+    The runs share everything but lam: validation, the scaled problem, the
+    initial coefficients and the sample tables are set up once.  Each run
+    keeps its own LossEngine over a model whose coefficients are one row of
+    an (L, m, d+1) stack; each epoch takes one stacked gradient, one
+    finiteness test and one optimizer step over the whole stack.  step() is
+    elementwise and the stacked gradient sums every block in the same order
+    as a single run, so each report is bit-identical to fit() at that lam.
+    A run that diverges records where, keeps its coefficients and leaves the
+    stack; the others go on.  Reports come in the order of lambdas and own
+    their models.
+    """
+    lambdas = list(lambdas)
+    if not lambdas:
+        raise ValueError("lambdas must not be empty")
     loss_cfg = config.loss
     if loss_cfg.k > config.degree:
         raise ValueError(
@@ -196,54 +227,92 @@ def fit(samples: SampleSet, config: TrainConfig) -> TrainingReport:
             "exact continuity repair will not be available for this model",
             stacklevel=2,
         )
+    loss_cfgs = [replace(loss_cfg, lam=lam) for lam in lambdas]
 
-    model, _ = make_scaled_problem(samples, config.segments, config.degree, config.scaling)
+    template, _ = make_scaled_problem(samples, config.segments, config.degree, config.scaling)
     deficient: tuple[int, ...] = ()
     if config.init == "least_squares":
-        coeffs, deficient = _least_squares_coefficients(model, samples)
-        model.coefficients[:] = coeffs
-
-    state = init_state(config.optimizer, model.coefficients.shape)
+        coeffs, deficient = _least_squares_coefficients(template, samples)
+        template.coefficients[:] = coeffs
+    stack = np.repeat(template.coefficients[None], len(lambdas), axis=0)
+    models = [template.copy() for _ in lambdas]
+    state = init_state(config.optimizer, stack.shape)
     reg = (regularization_vector(config.degree)
            if config.regularization == "degree_based" else None)
 
-    history: list[HistoryRow] = []
-    diverged_epoch: int | None = None
-    location: tuple[int, int] | None = None
+    histories: list[list[HistoryRow]] = [[] for _ in lambdas]
+    divergences: list[tuple[int, tuple[int, int] | None] | None] = [None] * len(lambdas)
+    live = list(range(len(lambdas)))  # the run in each row of the stack
+
+    def attach():
+        for pos, run in enumerate(live):
+            models[run].coefficients = stack[pos]
+
+    def leave(keep):
+        """Runs whose keep entry is False take a copy of their coefficients and leave."""
+        nonlocal stack, live
+        for pos in np.flatnonzero(~keep):
+            models[live[pos]].coefficients = stack[pos].copy()
+        stack = stack[keep]
+        for name, slot in vars(state).items():
+            if isinstance(slot, np.ndarray):
+                setattr(state, name, slot[keep])
+        operators.keep(keep)
+        live = [run for run, kept in zip(live, keep) if kept]
+        attach()
+
     # divergence is detected via isfinite checks, so silence the transient
     # overflow warnings a runaway run (or data near the float limit, in the
     # operator's assembly) produces on its way there
     with np.errstate(over="ignore", invalid="ignore"):
-        engine = LossEngine(model, samples, loss_cfg)
+        attach()
+        first = LossEngine(models[0], samples, loss_cfgs[0])
+        engines = [first] + [first._sharing_tables(model, cfg)
+                             for model, cfg in zip(models[1:], loss_cfgs[1:])]
+        operators = _EngineStack(engines)
         for epoch in range(config.epochs):
-            grads = engine.gradient()
+            grads = operators.gradients(stack)
             # the expanded value is non-finite whenever the gradient is
-            if not math.isfinite(engine._expanded_total(grads)):
-                diverged_epoch, location = epoch, _first_non_finite(grads)
-                break
-            if epoch % config.record_every == 0:
-                row = _exact_row(engine, epoch)
-                if row is None:
-                    diverged_epoch = epoch
-                    break
-                history.append(row)
+            finite = np.isfinite(operators.expanded_totals(stack, grads))
+            recording = epoch % config.record_every == 0
+            if recording or not finite.all():
+                for pos, run in enumerate(live):
+                    if not finite[pos]:
+                        divergences[run] = (epoch, _first_non_finite(grads[pos]))
+                    elif recording:
+                        row = _exact_row(engines[run], epoch)
+                        if row is None:
+                            divergences[run] = (epoch, None)
+                        else:
+                            histories[run].append(row)
+                keep = np.array([divergences[run] is None for run in live])
+                if not keep.all():
+                    leave(keep)
+                    grads = grads[keep]
+                    if not live:
+                        break
             if reg is not None:
                 grads = apply_regularization(grads, reg)
-            step(state, config.optimizer, model.coefficients, grads)
-        else:
-            row = _exact_row(engine, config.epochs)
+            step(state, config.optimizer, stack, grads)
+        for run in live:
+            row = _exact_row(engines[run], config.epochs)
             if row is None:
-                diverged_epoch = config.epochs
+                divergences[run] = (config.epochs, None)
             else:
-                history.append(row)
+                histories[run].append(row)
+        leave(np.zeros(len(live), dtype=bool))  # every report owns its model
 
-    segment, power = location or (None, None)
-    return TrainingReport(
-        history=history,
-        final_model=model,
-        diverged=diverged_epoch is not None,
-        diverged_epoch=diverged_epoch,
-        diverged_segment=segment,
-        diverged_power=power,
-        rank_deficient_segments=deficient,
-    )
+    reports = []
+    for model, history, divergence in zip(models, histories, divergences):
+        epoch, location = divergence or (None, None)
+        segment, power = location or (None, None)
+        reports.append(TrainingReport(
+            history=history,
+            final_model=model,
+            diverged=divergence is not None,
+            diverged_epoch=epoch,
+            diverged_segment=segment,
+            diverged_power=power,
+            rank_deficient_segments=deficient,
+        ))
+    return reports

@@ -1,10 +1,11 @@
+import io
 import json
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from ckspline import evaluate, load_model, load_samples, save_model
+from ckspline import DomainMap, evaluate, load_model, load_samples, save_model
 from ckspline.cli import main
 
 from conftest import benchmark_curve, model_from_global
@@ -265,6 +266,23 @@ def test_curve_round_trip_against_model(tmp_path):
                         rtol=1e-12, atol=1e-12)
 
 
+def test_curve_text_matches_savetxt_across_chunks(tmp_path):
+    # more rows than one formatting chunk; np.savetxt is the reference
+    rng = np.random.default_rng(3)
+    model = model_from_global([0, 1, 2.5, 3], 4, rng.normal(size=(3, 5)) * [1, 1e-9, 1e9, 1, -0.0],
+                              domain_map=DomainMap(-0.5, 2.0))
+    save_model(model, tmp_path / "model.json")
+    assert main(["eval", "--model", str(tmp_path / "model.json"), "--out", str(tmp_path / "e"),
+                 "--k", "2", "--resolution", "3001"]) == 0
+    text = (tmp_path / "e" / "curve.csv").read_text()
+    rows = text.splitlines()[1:]
+    assert len(rows) == 3 * 3000 + 1
+    table = np.array([[float(v) for v in row.split(",")] for row in rows])
+    reference = io.StringIO()
+    np.savetxt(reference, table, fmt="%.17g", delimiter=",")
+    assert text == "x,f,d1,d2\n" + reference.getvalue()
+
+
 def test_history_rows_satisfy_blend_identity(tmp_path):
     data = write_benchmark_data(tmp_path / "bench.csv")
     out = tmp_path / "run"
@@ -324,6 +342,61 @@ def test_sweep_rejects_out_of_range_lambda(tmp_path):
     data = write_line_data(tmp_path / "line.csv")
     assert main(["sweep", "--input", str(data), "--out", str(tmp_path / "s"),
                  "--lambdas", "0.5,2.0"]) == 1
+
+
+def read_tree(root):
+    return {str(p.relative_to(root)): p.read_bytes() for p in sorted(root.rglob("*"))
+            if p.is_file()}
+
+
+def solo_fit_runs(tmp_path, capsys, data, flags, runs):
+    """(name, lambda) runs through `fit --repair`, as a sweep once ran them; exit codes, stdout."""
+    codes, out = [], ""
+    for name, lam in runs:
+        codes.append(main(["fit", "--input", str(data), "--out", str(tmp_path / "solo" / name),
+                           "--lambda", lam, "--repair", *flags]))
+        out += capsys.readouterr().out
+    return codes, out
+
+
+def test_sweep_writes_what_per_lambda_fits_write(tmp_path, capsys):
+    data = write_benchmark_data(tmp_path / "bench.csv")
+    flags = ["--segments", "4", "--degree", "5", "--k", "2", "--epochs", "150",
+             "--optimizer", "amsgrad", "--resolution", "9"]
+    sweep = tmp_path / "sweep"
+    assert main(["sweep", "--input", str(data), "--out", str(sweep),
+                 "--lambdas", "1,0.25,0.25", *flags]) == 0
+    sweep_out = capsys.readouterr().out
+    runs = [("lambda_1", "1"), ("lambda_0.25", "0.25"), ("lambda_0.25_2", "0.25")]
+    codes, solo_out = solo_fit_runs(tmp_path, capsys, data, flags, runs)
+    assert codes == [0, 0, 0] and sweep_out == solo_out
+    for name, _ in runs:
+        assert read_tree(sweep / name) == read_tree(tmp_path / "solo" / name)
+    rows = [line.split(",") for line in (sweep / "summary.csv").read_text().splitlines()[1:]]
+    assert [float(row[0]) for row in rows] == [1.0, 0.25, 0.25]
+    for row, (name, _) in zip(rows, runs):
+        final = (sweep / name / "history.csv").read_text().splitlines()[-1].split(",")
+        assert row[1:4] == final[1:4]
+
+
+def test_sweep_stops_at_first_diverged_lambda(tmp_path, capsys):
+    # sgd at lr 0.5 diverges at lambda 0.5 (epoch 300) but not at 1 or 0
+    data = write_benchmark_data(tmp_path / "bench.csv")
+    flags = ["--segments", "8", "--degree", "5", "--k", "2", "--epochs", "400",
+             "--optimizer", "sgd", "--lr", "0.5", "--resolution", "9"]
+    sweep = tmp_path / "sweep"
+    assert main(["sweep", "--input", str(data), "--out", str(sweep),
+                 "--lambdas", "1,0.5,0", *flags]) == 2
+    sweep_out = capsys.readouterr().out
+    codes, solo_out = solo_fit_runs(tmp_path, capsys, data, flags,
+                                    [("lambda_1", "1"), ("lambda_0.5", "0.5")])
+    assert codes == [0, 2] and sweep_out == solo_out
+    assert "diverged at epoch 300: loss became non-finite" in sweep_out
+    assert read_tree(sweep) == {
+        **{f"lambda_1/{k}": v for k, v in read_tree(tmp_path / "solo" / "lambda_1").items()},
+        **{f"lambda_0.5/{k}": v for k, v in read_tree(tmp_path / "solo" / "lambda_0.5").items()},
+    }
+    assert list(read_tree(sweep / "lambda_0.5")) == ["history.csv"]
 
 
 # ---------------------------------------------------------------- repair / eval verbs

@@ -1,3 +1,5 @@
+import zlib
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -216,11 +218,14 @@ def test_gradient_linearity_in_lambda():
 @pytest.mark.parametrize("mode", ["open", "cyclic", "periodic"])
 @pytest.mark.parametrize("strain", [0.0, 0.4])
 def test_gradient_matches_finite_differences(mode, strain):
-    rng = np.random.default_rng(hash((mode, strain)) % 2**32)
+    # a stable seed: hash() of a str changes with PYTHONHASHSEED.  The loss is
+    # an exact quadratic, so a wide central step adds no truncation error and
+    # keeps the round-off of the difference quotient well under atol
+    rng = np.random.default_rng(zlib.crc32(f"{mode}-{strain}".encode()))
     for _ in range(5):
         model, samples, config = random_fixture(rng, boundary_mode=mode, strain_weight=strain)
         analytic = gradient(model, samples, config)
-        numeric = fd_gradient(model, samples, config, h=1e-6)
+        numeric = fd_gradient(model, samples, config, h=1e-3)
         assert_allclose(analytic, numeric, rtol=1e-5, atol=1e-8)
 
 

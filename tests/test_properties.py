@@ -8,6 +8,9 @@ examples draw non-uniform breakpoints and a domain map (a < 0 included), and
 check the batched code against one eval_segment call per boundary or point.
 """
 
+import warnings
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -19,18 +22,23 @@ from ckspline import (
     DomainMap,
     LossConfig,
     LossEngine,
+    OptimizerConfig,
     SampleSet,
     SplineModel,
+    TrainConfig,
     ck_loss,
     evaluate,
     fd_gradient,
+    fit,
+    fit_sweep,
     make_scaled_problem,
     rebase,
     repair_continuity,
 )
 from ckspline.losses import BOUNDARY_MODES
 from ckspline.model import eval_segment
-from ckspline.training import SCALINGS
+from ckspline.optimizers import OPTIMIZER_KINDS
+from ckspline.training import INITS, REGULARIZATIONS, SCALINGS
 
 
 @st.composite
@@ -233,3 +241,47 @@ def test_evaluate_chain_rule_against_central_difference(model, j, segment, fract
     factorials = np.cumprod(np.concatenate([[1.0], np.arange(1.0, model.degree + 1)]))
     scale = abs(dmap.a) ** (j + 1) * (1.0 + (np.abs(model.coefficients) @ factorials).max())
     assert central == pytest.approx(evaluate(model, x, j + 1), abs=1e-8 * scale)
+
+
+@st.composite
+def sweeps(draw):
+    """A training problem with a random lambda list, duplicates allowed."""
+    degree = draw(st.integers(0, 6))
+    kind = draw(st.sampled_from(OPTIMIZER_KINDS))
+    momentum = draw(st.sampled_from([0.0, 0.9])) if kind == "sgd" else 0.0
+    optimizer = OptimizerConfig(kind, draw(st.sampled_from([1e-3, 0.05, 0.5, 5.0])),
+                                momentum=momentum, nesterov=momentum > 0 and draw(st.booleans()))
+    config = TrainConfig(
+        segments=draw(st.integers(1, 6)), degree=degree, epochs=draw(st.integers(0, 60)),
+        loss=LossConfig(k=draw(st.integers(0, degree)),
+                        boundary_mode=draw(st.sampled_from(BOUNDARY_MODES)),
+                        strain_weight=draw(st.sampled_from([0.0, 1e-2]))),
+        optimizer=optimizer,
+        regularization=draw(st.sampled_from(REGULARIZATIONS)),
+        init=draw(st.sampled_from(INITS)), scaling=draw(st.sampled_from(SCALINGS)),
+        record_every=draw(st.integers(1, 9)),
+    )
+    lam = st.sampled_from([0.0, 0.5, 1.0]) | st.floats(0.0, 1.0)
+    lambdas = draw(st.lists(lam, min_size=1, max_size=5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(2, 40))
+    xs = np.sort(np.concatenate([[0.0, 1.0], rng.uniform(0.0, 1.0, n - 2)])) * 3.0
+    return SampleSet(xs, rng.normal(size=n) * 10.0 ** draw(st.integers(-2, 2))), config, lambdas
+
+
+@PROPERTY
+@given(sweeps())
+def test_fit_sweep_equals_sequential_fits_bit_for_bit(sweep):
+    samples, config, lambdas = sweep
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # degree below 2k+1
+        swept = fit_sweep(samples, config, lambdas)
+        solos = [fit(samples, replace(config, loss=replace(config.loss, lam=lam)))
+                 for lam in lambdas]
+    for report, solo in zip(swept, solos, strict=True):
+        assert report.history == solo.history
+        assert np.array_equal(report.final_model.coefficients, solo.final_model.coefficients)
+        assert (report.diverged_epoch, report.diverged_segment, report.diverged_power,
+                report.rank_deficient_segments) == (
+                solo.diverged_epoch, solo.diverged_segment, solo.diverged_power,
+                solo.rank_deficient_segments)

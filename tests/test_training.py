@@ -1,8 +1,12 @@
+import zlib
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 from ckspline import (
+    DomainMap,
     LossConfig,
     OptimizerConfig,
     SampleSet,
@@ -10,10 +14,13 @@ from ckspline import (
     apply_regularization,
     evaluate,
     fit,
+    fit_sweep,
     least_squares_init,
     make_scaled_problem,
     regularization_vector,
 )
+from ckspline.losses import _sample_tables
+from ckspline.training import _least_squares_coefficients
 
 
 def line_samples(n=21):
@@ -267,3 +274,106 @@ def test_train_config_validation():
         TrainConfig(regularization="l2")
     with pytest.raises(ValueError):
         TrainConfig(record_every=0)
+
+
+# ------------------------------------------------ lockstep sweeps
+
+
+def same_report(a, b):
+    return (a.history == b.history
+            and np.array_equal(a.final_model.coefficients, b.final_model.coefficients)
+            and (a.diverged, a.diverged_epoch, a.diverged_segment, a.diverged_power,
+                 a.rank_deficient_segments)
+            == (b.diverged, b.diverged_epoch, b.diverged_segment, b.diverged_power,
+                b.rank_deficient_segments))
+
+
+def solo_fits(samples, config, lambdas):
+    return [fit(samples, replace(config, loss=replace(config.loss, lam=lam))) for lam in lambdas]
+
+
+@pytest.mark.parametrize("optimizer", [
+    OptimizerConfig("sgd", 0.05, momentum=0.9, nesterov=True),
+    OptimizerConfig("adam", 0.05),
+    OptimizerConfig("adamax", 0.05),
+    OptimizerConfig("amsgrad", 0.05),
+])
+@pytest.mark.parametrize("mode", ["open", "cyclic", "periodic"])
+def test_fit_sweep_matches_sequential_fits_bit_for_bit(optimizer, mode):
+    rng = np.random.default_rng(zlib.crc32(f"{optimizer.kind}-{mode}".encode()))
+    xs = np.sort(rng.uniform(0.0, 5.0, 60))
+    samples = SampleSet(xs, np.sin(xs) + 0.1 * rng.normal(size=60))
+    lambdas = [0.5, 1.0, 0.5, 0.0, float(rng.uniform())]  # a duplicate included
+    config = TrainConfig(segments=5, degree=5, epochs=120,
+                         loss=LossConfig(lam=0.3, k=2, boundary_mode=mode, strain_weight=0.01),
+                         optimizer=optimizer, regularization="degree_based",
+                         init="least_squares", record_every=7)
+    swept = fit_sweep(samples, config, lambdas)
+    for report, solo in zip(swept, solo_fits(samples, config, lambdas), strict=True):
+        assert same_report(report, solo)
+    # every report owns its model
+    swept[0].final_model.coefficients[:] = 0.0
+    assert not np.array_equal(swept[2].final_model.coefficients, 0.0)
+
+
+def test_fit_sweep_middle_divergence_leaves_the_others_unchanged():
+    xs = np.linspace(0, 16, 128)
+    samples = SampleSet(xs, np.sin(2 * np.pi * xs / 16) + 0.5 * np.sin(4 * np.pi * xs / 16))
+    config = TrainConfig(segments=8, degree=5, epochs=400, loss=LossConfig(lam=0.5, k=2),
+                         optimizer=OptimizerConfig("sgd", 0.5))
+    lambdas = [1.0, 0.5, 0.25, 0.0]
+    swept = fit_sweep(samples, config, lambdas)
+    assert [r.diverged for r in swept] == [False, True, True, False]
+    assert swept[1].diverged_epoch > swept[2].diverged_epoch  # they leave at different epochs
+    for report, solo in zip(swept, solo_fits(samples, config, lambdas), strict=True):
+        assert same_report(report, solo)
+    assert all(np.isfinite(row.total) for r in swept for row in r.history)
+
+
+def test_fit_sweep_located_divergence_matches_fit():
+    # targets near the float limit make the first gradient non-finite
+    xs = np.linspace(0, 16, 64)
+    samples = SampleSet(xs, np.full(xs.size, 1e308))
+    config = TrainConfig(segments=8, degree=5, epochs=50, loss=LossConfig(lam=0.5, k=2),
+                         optimizer=OptimizerConfig("sgd", 10.0))
+    swept = fit_sweep(samples, config, [1.0, 0.5])
+    for report, solo in zip(swept, solo_fits(samples, config, [1.0, 0.5]), strict=True):
+        assert report.diverged_epoch == 0 and report.diverged_segment is not None
+        assert same_report(report, solo)
+
+
+def test_fit_sweep_validates_once_before_training():
+    with pytest.raises(ValueError, match="empty"):
+        fit_sweep(line_samples(), sgd_config(1, 5), [])
+    with pytest.raises(ValueError, match="lam"):
+        fit_sweep(line_samples(), sgd_config(1, 5), [0.5, 1.5])
+    config = TrainConfig(segments=1, degree=2, epochs=0, loss=LossConfig(lam=1.0, k=1))
+    with pytest.warns(UserWarning, match="repair") as caught:
+        fit_sweep(line_samples(), config, [1.0, 0.5, 0.0])
+    assert len(caught) == 1
+
+
+@pytest.mark.parametrize("mirrored", [False, True])
+def test_batched_least_squares_matches_per_segment_solves(mirrored):
+    # reference: one normal-equation solve per full-rank segment over its
+    # samples in input order, lstsq otherwise; a mirrored domain map (a < 0)
+    # puts the samples in descending segment order
+    rng = np.random.default_rng(23)
+    xs = np.sort(np.concatenate([rng.uniform(0, 3, 300), np.full(5, 3.5), rng.uniform(6, 8, 200)]))
+    samples = SampleSet(xs, np.cos(xs) + 0.01 * rng.normal(size=xs.size))
+    model, _ = make_scaled_problem(samples, 16, 3)
+    if mirrored:
+        model.domain_map = DomainMap(-model.domain_map.a, 16.0 - model.domain_map.b)
+    coeffs, deficient = _least_squares_coefficients(model, samples)
+    seg, powers = _sample_tables(model, samples)
+    expected, flagged = np.zeros_like(coeffs), []
+    for i in range(16):
+        design, targets = powers[seg == i], samples.ys[seg == i]
+        if len(design) >= 4 and np.linalg.matrix_rank(design) == 4:
+            expected[i] = np.linalg.solve(design.T @ design, design.T @ targets)
+        else:
+            if len(design):
+                expected[i] = np.linalg.lstsq(design, targets, rcond=None)[0]
+            flagged.append(i + 1)
+    assert deficient == tuple(flagged) and len(flagged) > 2
+    assert np.array_equal(coeffs, expected)
