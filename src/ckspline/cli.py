@@ -169,9 +169,12 @@ def load_model(path) -> SplineModel:
     path = Path(path)
     obj = json.loads(path.read_text())
     try:
+        degree = obj["degree"]
+        if not isinstance(degree, int) or isinstance(degree, bool):
+            raise ValueError(f"{path}: degree must be an integer, got {json.dumps(degree)}")
         return SplineModel(
             np.asarray(obj["breakpoints"], dtype=float),
-            int(obj["degree"]),
+            degree,
             np.asarray(obj["coefficients"], dtype=float),
             np.asarray(obj["centers"], dtype=float),
             DomainMap(float(obj["domain_map"]["a"]), float(obj["domain_map"]["b"])),
@@ -227,25 +230,27 @@ def _write_repair_report(report, path: Path):
 
 def run(manifest: RunManifest) -> int:
     """Fit per the manifest and write all result files; see module exit codes."""
-    code, _report, _repair = _run_fit(manifest)
-    return code
+    _check_fit(manifest)
+    samples = load_samples(manifest.input)
+    return _write_fit(manifest, fit(samples, manifest.to_train_config()))[0]
+
+
+def _check_resolution(manifest: RunManifest):
+    if manifest.resolution < 2:
+        raise ValueError("resolution must be >= 2")
 
 
 def _check_fit(manifest: RunManifest):
-    if manifest.resolution < 2:
-        raise ValueError("resolution must be >= 2")
+    _check_resolution(manifest)
     if not manifest.input or not manifest.out:
         raise ValueError("input and out paths must be set")
 
 
-def _run_fit(manifest: RunManifest):
-    _check_fit(manifest)
-    samples = load_samples(manifest.input)
-    return _write_fit(manifest, fit(samples, manifest.to_train_config()))
-
-
 def _write_fit(manifest: RunManifest, report):
-    """One fit's result files under manifest.out and its stdout line; exit code first."""
+    """One fit's result files under manifest.out and its stdout line.
+
+    Returns the exit code and the repair report (None without repair).
+    """
     outdir = Path(manifest.out)
     outdir.mkdir(parents=True, exist_ok=True)
     _write_history(report.history, outdir / "history.csv")
@@ -254,7 +259,7 @@ def _write_fit(manifest: RunManifest, report):
                  f"non-finite gradient at segment {report.diverged_segment}, "
                  f"power {report.diverged_power}")
         print(f"diverged at epoch {report.diverged_epoch}: {cause}")
-        return 2, report, None
+        return 2, None
     model = report.final_model
     repair_report = None
     if manifest.repair:
@@ -265,7 +270,7 @@ def _write_fit(manifest: RunManifest, report):
     final = report.history[-1]
     print(f"fit: {manifest.epochs} epochs, final total={final.total:.6g} "
           f"l2={final.l2:.6g} ck={final.ck:.6g}")
-    return 0, report, repair_report
+    return 0, repair_report
 
 
 def sweep(manifest: RunManifest, lambda_values) -> int:
@@ -299,7 +304,7 @@ def sweep(manifest: RunManifest, lambda_values) -> int:
     reports = fit_sweep(samples, subs[0].to_train_config(), values)
     rows = []
     for sub, report in zip(subs, reports):
-        code, report, repair_report = _write_fit(sub, report)
+        code, repair_report = _write_fit(sub, report)
         if code != 0:
             return code
         final = report.history[-1]
@@ -418,8 +423,7 @@ def _cmd_eval(args) -> int:
     manifest = _build_manifest(args)
     if not manifest.model or not manifest.out:
         raise ValueError("eval needs --model and --out")
-    if manifest.resolution < 2:
-        raise ValueError("resolution must be >= 2")
+    _check_resolution(manifest)
     model = load_model(manifest.model)
     outdir = Path(manifest.out)
     outdir.mkdir(parents=True, exist_ok=True)

@@ -14,16 +14,18 @@ coefficient matrix c:
 
 Segment i only meets segments i-1 and i+1 (and, across the wrap, segment m-1
 meets segment 0), so the Hessian H is block-tridiagonal with one corner
-block.  LossEngine assembles H and the linear term once per run, from the
-samples, the boundary derivative bases and the strain tables; the gradient
-is then a batched block mat-vec whose cost does not depend on the number of
-samples.
+block.  LossEngine assembles H and the linear term once, from the samples,
+the boundary derivative bases and the strain tables; the gradient is then a
+batched block mat-vec whose cost does not depend on the number of samples.
+H, linear and constant are affine in lam, so the forms of a whole lambda
+sweep are assembled in one pass and stacked, and one mat-vec serves every
+run.
 
 Loss values come from the residual form instead (l2 from the sample
 residuals, ck from the jumps at every boundary in one batch, strain from its
 per-segment tables): the expanded form above loses digits when l2 is tiny.
-The training loop therefore calls LossEngine.breakdown only at record
-epochs, and tests each epoch's loss for finiteness through the cheap
+The training loop therefore takes the residual-form breakdown only at
+record epochs, and tests each epoch's loss for finiteness through the cheap
 expanded value.  fd_gradient differentiates breakdown numerically and so
 stays an oracle independent of the assembled operator.
 
@@ -35,9 +37,9 @@ up without rebuilding.
 
 from __future__ import annotations
 
-import copy
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -180,38 +182,55 @@ def _block_matvec(rows, neighbours, coeffs):
     return np.einsum("ist,it->is", rows, coeffs[neighbours].reshape(len(coeffs), -1))
 
 
-def _expanded_totals(coeffs, grads, linear, constant):
-    """total = 0.5*c.g - 0.5*linear.c + constant for each run of an (L, m, w) stack.
+class _Forms(NamedTuple):
+    """The quadratic forms of L runs that differ only in lam, stacked.
 
-    Reads the value off the gradient g at c, without the residuals.  Costs
-    two dot products per run, but carries absolute rounding error on
-    the scale of the constant term: a finiteness test, not a loss value.
+    rows holds the (L*m, w, 3w) block rows in the memory order of
+    _row_axes, neighbours the (L*m, 3) coefficient blocks each multiplies,
+    linear and constant the (L, m, w) and (L,) stacks.  Both methods take an
+    (L, m, w) coefficient stack, one row per lam in order.
     """
-    c = coeffs.reshape(len(coeffs), -1, 1)
-    g = grads.reshape(len(coeffs), 1, -1)
-    lin = linear.reshape(len(coeffs), 1, -1)
-    return 0.5 * (g @ c - lin @ c)[:, 0, 0] + constant
+
+    rows: np.ndarray
+    neighbours: np.ndarray
+    linear: np.ndarray
+    constant: np.ndarray
+
+    def gradients(self, coeffs: np.ndarray) -> np.ndarray:
+        blocks = coeffs.reshape(-1, coeffs.shape[-1])
+        return _block_matvec(self.rows, self.neighbours, blocks).reshape(coeffs.shape) - self.linear
+
+    def expanded_totals(self, coeffs: np.ndarray, grads: np.ndarray) -> np.ndarray:
+        """total = 0.5*c.g - 0.5*linear.c + constant for each run, g the gradient at c.
+
+        Reads the value off the gradient, without the residuals.  Costs two
+        dot products per run, but carries absolute rounding error on the
+        scale of the constant term: a finiteness test, not a loss value.
+        """
+        c = coeffs.reshape(len(coeffs), -1, 1)
+        g = grads.reshape(len(coeffs), 1, -1)
+        lin = self.linear.reshape(len(coeffs), 1, -1)
+        return 0.5 * (g @ c - lin @ c)[:, 0, 0] + self.constant
 
 
 class LossEngine:
     """Precomputed quadratic form of the blended loss for one model and sample set.
 
-    Built once per training run.  The constructor assembles the Hessian H
-    of total, the linear term and the constant, so that
-    total = 0.5 * c.H.c - linear.c + constant.  H is block-tridiagonal:
-    m diagonal blocks H[i, i], m-1 neighbour blocks H[i, i+1] (with
-    H[i+1, i] their transposes) and, in cyclic/periodic mode, one corner
-    block H[m-1, 0], each (d+1, d+1).  The assembly is vectorised: l2 blocks
-    come from per-segment bincount sums, ck blocks from all boundary
-    derivative bases at once.  gradient() is one batched block mat-vec
-    minus the linear term.
+    The constructor builds the tables that depend on the breakpoints and
+    samples, then assembles the Hessian H of total, the linear term and the
+    constant, so that total = 0.5 * c.H.c - linear.c + constant.  H is
+    block-tridiagonal: m diagonal blocks H[i, i], m-1 neighbour blocks
+    H[i, i+1] (with H[i+1, i] their transposes) and, in cyclic/periodic
+    mode, one corner block H[m-1, 0], each (d+1, d+1).  The assembly is
+    vectorised: l2 blocks come from per-segment bincount sums, ck blocks
+    from all boundary derivative bases at once.  gradient() is one batched
+    block mat-vec minus the linear term.
 
-    breakdown() returns the exact per-term values in residual form.  The
-    training loop calls it only at record epochs and tests every epoch for
-    divergence through the expanded value _expanded_totals() reads off the
-    gradient.  Both read model.coefficients live on every call.  A sweep
-    trains one engine per lambda; they share their tables and, through
-    _EngineStack, one gradient call per epoch.
+    breakdown() returns the exact per-term values in residual form.  Both
+    read model.coefficients live on every call.  The loss is affine in
+    lam, so _forms() assembles the operators of a whole sweep in one pass,
+    and an engine is its one-lam case: a run of a sweep gets the same
+    gradient bits as an engine of its own.
     """
 
     def __init__(self, model: SplineModel, samples: SampleSet, config: LossConfig):
@@ -222,108 +241,64 @@ class LossEngine:
         self.ys = samples.ys
         self.bases, self.ck_divisor = _boundary_bases(model, config)
         self.strain_tables = _strain_tables(model)
-        self._assemble()
+        self._form = self._forms([config.lam])
+        self.linear, self.constant = self._form.linear[0], float(self._form.constant[0])
 
-    def _assemble(self):
+    def _forms(self, lams) -> _Forms:
+        """The stacked forms of this engine's problem at each blend weight in lams.
+
+        lam is broadcast over the expressions a single run would evaluate,
+        and the lam-free sums and einsums are computed once, so every entry
+        is the same IEEE expression for any number of runs.
+        """
+        lam = np.asarray(lams, dtype=float)[:, None, None, None]
         m, width = self.model.coefficients.shape
         d, cfg = width - 1, self.config
         # l2: Gram block entries sum u**(s+t), so 2d+1 per-segment moments fill them
-        l2_scale = 2.0 * cfg.lam * m / self.ys.size
+        l2_scale = 2.0 * lam * m / self.ys.size
         moments = _segment_sums(self.seg, (self.powers[:, min(p, d)] * self.powers[:, max(p - d, 0)]
                                            for p in range(2 * d + 1)), m)
         diag = l2_scale * moments[:, np.add.outer(np.arange(width), np.arange(width))]
-        self.linear = l2_scale * _segment_sums(self.seg, (self.ys[:, None] * self.powers).T, m)
-        self.constant = cfg.lam * m / self.ys.size * float(self.ys @ self.ys)
+        linear = l2_scale[..., 0] * _segment_sums(self.seg, (self.ys[:, None] * self.powers).T, m)
+        constant = lam.ravel() * m / self.ys.size * float(self.ys @ self.ys)
         if cfg.strain_weight != 0.0 and self.strain_tables is not None:
-            diag[:, 2:, 2:] += 2.0 * cfg.strain_weight * self.strain_tables
+            diag[..., 2:, 2:] += 2.0 * cfg.strain_weight * self.strain_tables
 
         # ck: boundary b adds L'L to H[left, left], R'R to H[right, right] and
-        # -L'R to H[left, right]; after[i] = H[i, (i+1) mod m] holds the m-1
+        # -L'R to H[left, right]; after[:, i] = H[i, (i+1) mod m] holds the m-1
         # neighbour blocks, then the corner block (zero in open mode).  left
         # and right each name a segment at most once, so fancy-index += is exact.
         left, right, basis_left, basis_right = self.bases
-        ck_scale = 2.0 * (1.0 - cfg.lam) / self.ck_divisor
-        diag[left] += ck_scale * np.einsum("bjs,bjt->bst", basis_left, basis_left)
-        diag[right] += ck_scale * np.einsum("bjs,bjt->bst", basis_right, basis_right)
+        ck_scale = 2.0 * (1.0 - lam) / self.ck_divisor
+        diag[:, left] += ck_scale * np.einsum("bjs,bjt->bst", basis_left, basis_left)
+        diag[:, right] += ck_scale * np.einsum("bjs,bjt->bst", basis_right, basis_right)
         after = np.zeros_like(diag)
-        after[left] = -ck_scale * np.einsum("bjs,bjt->bst", basis_left, basis_right)
+        after[:, left] = -ck_scale * np.einsum("bjs,bjt->bst", basis_left, basis_right)
 
         # block row i is [H[i, i-1], H[i, i], H[i, i+1]] against c[i-1], c[i], c[i+1], mod m
-        before = np.roll(after, 1, axis=0).transpose(0, 2, 1)
+        before = np.roll(after, 1, axis=1).swapaxes(2, 3)
         axes = _row_axes(m)
-        rows = np.concatenate([before, diag, after], axis=2)
-        self._rows = rows.transpose(axes).copy().transpose(axes)
+        blocks = np.concatenate([before, diag, after], axis=3).reshape(-1, width, 3 * width)
         i = np.arange(m)
-        self._neighbours = np.stack([(i - 1) % m, i, (i + 1) % m], axis=1)
+        neighbours = np.stack([(i - 1) % m, i, (i + 1) % m], axis=1)
+        return _Forms(blocks.transpose(axes).copy().transpose(axes),
+                      (m * np.arange(len(lam))[:, None, None] + neighbours).reshape(-1, 3),
+                      linear, constant)
 
     def breakdown(self) -> LossBreakdown:
-        coeffs = self.model.coefficients
+        return self._breakdown(self.model.coefficients, self.config.lam)
+
+    def _breakdown(self, coeffs: np.ndarray, lam: float) -> LossBreakdown:
+        """Residual-form values at coeffs, blended with weight lam."""
         l2 = _l2_value(coeffs, self.seg, self.powers, self.ys)
         ck = _ck_value(coeffs, self.bases, self.ck_divisor)
         strain = _strain_value(coeffs, self.strain_tables)
-        cfg = self.config
-        total = cfg.lam * l2 + (1.0 - cfg.lam) * ck + cfg.strain_weight * strain
+        total = lam * l2 + (1.0 - lam) * ck + self.config.strain_weight * strain
         return LossBreakdown(total=total, l2=l2, ck=ck, strain=strain)
 
     def gradient(self) -> np.ndarray:
-        return _block_matvec(self._rows, self._neighbours, self.model.coefficients) - self.linear
-
-    def _expanded_total(self, grad: np.ndarray) -> float:
-        """total from gradient() at the current coefficients; see _expanded_totals."""
-        return float(_expanded_totals(self.model.coefficients[None], grad[None],
-                                      self.linear[None], self.constant)[0])
-
-    def _sharing_tables(self, model: SplineModel, config: LossConfig) -> "LossEngine":
-        """Engine for config over model, reusing this engine's tables.
-
-        model must have this engine's breakpoints and degree, and config may
-        differ from this engine's only in lam: the sample tables, boundary
-        bases and strain tables are shared, not copied.
-        """
-        other = copy.copy(self)
-        other.model, other.config = model, config
-        other._assemble()
-        return other
-
-
-class _EngineStack:
-    """The operators of several engines over one problem, for one kernel call per epoch.
-
-    Holds the block rows of all L runs in one array, which the engines then
-    view, and their linear terms and constants as (L, m, w) and (L,)
-    stacks.  gradients() and expanded_totals() take an (L, m, w)
-    coefficient stack, one row per engine in order.
-    """
-
-    def __init__(self, engines):
-        m = len(engines[0].linear)
-        self._storage = np.stack([engine._rows.transpose(_row_axes(m)) for engine in engines])
-        self.linear = np.stack([engine.linear for engine in engines])
-        self.constant = np.array([engine.constant for engine in engines])
-        self._neighbours = engines[0]._neighbours
-        self._restack()
-        for r, engine in enumerate(engines):
-            engine._rows = self.rows[r * m:(r + 1) * m]
-
-    def _restack(self):
-        """The (L*m, w, 3w) block rows and the coefficient rows each block multiplies."""
-        runs, m = self.linear.shape[:2]
-        blocks = self._storage.reshape(runs * m, *self._storage.shape[2:])
-        self.rows = blocks.transpose(_row_axes(m))
-        self.neighbours = (m * np.arange(runs)[:, None, None] + self._neighbours).reshape(-1, 3)
-
-    def gradients(self, coeffs: np.ndarray) -> np.ndarray:
-        blocks = coeffs.reshape(-1, coeffs.shape[-1])
-        return _block_matvec(self.rows, self.neighbours, blocks).reshape(coeffs.shape) - self.linear
-
-    def expanded_totals(self, coeffs: np.ndarray, grads: np.ndarray) -> np.ndarray:
-        return _expanded_totals(coeffs, grads, self.linear, self.constant)
-
-    def keep(self, mask: np.ndarray):
-        """Drop the runs whose mask entry is False."""
-        self._storage, self.linear, self.constant = (
-            self._storage[mask], self.linear[mask], self.constant[mask])
-        self._restack()
+        form = self._form
+        return _block_matvec(form.rows, form.neighbours, self.model.coefficients) - self.linear
 
 
 def l2_loss(model: SplineModel, samples: SampleSet) -> float:

@@ -16,7 +16,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .losses import LossConfig, LossEngine, _EngineStack, _sample_tables
+from .losses import LossConfig, LossEngine, _sample_tables
 from .model import DomainMap, SampleSet, SplineModel
 from .optimizers import OptimizerConfig, _first_non_finite, init_state, step
 
@@ -178,14 +178,6 @@ def least_squares_init(model: SplineModel, samples: SampleSet) -> SplineModel:
     return out
 
 
-def _exact_row(engine: LossEngine, epoch: int) -> HistoryRow | None:
-    """History row from the residual-form breakdown; None if its total is non-finite."""
-    exact = engine.breakdown()
-    if not math.isfinite(exact.total):
-        return None
-    return HistoryRow(epoch, exact.total, exact.l2, exact.ck, exact.strain)
-
-
 def fit(samples: SampleSet, config: TrainConfig) -> TrainingReport:
     """Run the training loop for exactly config.epochs iterations.
 
@@ -203,15 +195,16 @@ def fit_sweep(samples: SampleSet, config: TrainConfig, lambdas) -> list[Training
     """One training run per blend weight in lambdas, all trained in lockstep.
 
     The runs share everything but lam: validation, the scaled problem, the
-    initial coefficients and the sample tables are set up once.  Each run
-    keeps its own LossEngine over a model whose coefficients are one row of
-    an (L, m, d+1) stack; each epoch takes one stacked gradient, one
-    finiteness test and one optimizer step over the whole stack.  step() is
-    elementwise and the stacked gradient sums every block in the same order
-    as a single run, so each report is bit-identical to fit() at that lam.
-    A run that diverges records where, keeps its coefficients and leaves the
-    stack; the others go on.  Reports come in the order of lambdas and own
-    their models.
+    initial coefficients and one LossEngine are set up once.  The engine
+    assembles the quadratic forms of all L runs in one pass; each epoch
+    takes one stacked gradient, one finiteness test and one optimizer step
+    over an (L, m, d+1) coefficient stack.  step() is elementwise and the
+    stacked gradient sums every block in the same order as a single run, so
+    each report is bit-identical to fit() at that lam.  A run that diverges
+    records where and saves a copy of its coefficients; it then stays in
+    the stack, frozen: its gradient rows are zero and it is out of the
+    finiteness test.  Reports come in the order of lambdas and own their
+    models.
     """
     lambdas = list(lambdas)
     if not lambdas:
@@ -227,7 +220,8 @@ def fit_sweep(samples: SampleSet, config: TrainConfig, lambdas) -> list[Training
             "exact continuity repair will not be available for this model",
             stacklevel=2,
         )
-    loss_cfgs = [replace(loss_cfg, lam=lam) for lam in lambdas]
+    for lam in lambdas:
+        replace(loss_cfg, lam=lam)  # LossConfig validates lam
 
     template, _ = make_scaled_problem(samples, config.segments, config.degree, config.scaling)
     deficient: tuple[int, ...] = ()
@@ -235,75 +229,62 @@ def fit_sweep(samples: SampleSet, config: TrainConfig, lambdas) -> list[Training
         coeffs, deficient = _least_squares_coefficients(template, samples)
         template.coefficients[:] = coeffs
     stack = np.repeat(template.coefficients[None], len(lambdas), axis=0)
-    models = [template.copy() for _ in lambdas]
     state = init_state(config.optimizer, stack.shape)
     reg = (regularization_vector(config.degree)
            if config.regularization == "degree_based" else None)
 
     histories: list[list[HistoryRow]] = [[] for _ in lambdas]
     divergences: list[tuple[int, tuple[int, int] | None] | None] = [None] * len(lambdas)
-    live = list(range(len(lambdas)))  # the run in each row of the stack
+    saved: dict[int, np.ndarray] = {}  # the coefficients of each run where it diverged
+    frozen: list[int] = []  # the diverged runs, which stay in the stack
 
-    def attach():
-        for pos, run in enumerate(live):
-            models[run].coefficients = stack[pos]
+    def freeze(run, epoch, location):
+        divergences[run] = (epoch, location)
+        saved[run] = stack[run].copy()
+        frozen.append(run)
 
-    def leave(keep):
-        """Runs whose keep entry is False take a copy of their coefficients and leave."""
-        nonlocal stack, live
-        for pos in np.flatnonzero(~keep):
-            models[live[pos]].coefficients = stack[pos].copy()
-        stack = stack[keep]
-        for name, slot in vars(state).items():
-            if isinstance(slot, np.ndarray):
-                setattr(state, name, slot[keep])
-        operators.keep(keep)
-        live = [run for run, kept in zip(live, keep) if kept]
-        attach()
+    def record(run, epoch):
+        """Append run's residual-form history row, or freeze it if the total is non-finite."""
+        exact = engine._breakdown(stack[run], lambdas[run])
+        if math.isfinite(exact.total):
+            histories[run].append(HistoryRow(epoch, exact.total, exact.l2, exact.ck, exact.strain))
+        else:
+            freeze(run, epoch, None)
 
     # divergence is detected via isfinite checks, so silence the transient
     # overflow warnings a runaway run (or data near the float limit, in the
     # operator's assembly) produces on its way there
     with np.errstate(over="ignore", invalid="ignore"):
-        attach()
-        first = LossEngine(models[0], samples, loss_cfgs[0])
-        engines = [first] + [first._sharing_tables(model, cfg)
-                             for model, cfg in zip(models[1:], loss_cfgs[1:])]
-        operators = _EngineStack(engines)
+        engine = LossEngine(template, samples, loss_cfg)
+        form = engine._forms(lambdas)
         for epoch in range(config.epochs):
-            grads = operators.gradients(stack)
+            grads = form.gradients(stack)
             # the expanded value is non-finite whenever the gradient is
-            finite = np.isfinite(operators.expanded_totals(stack, grads))
+            finite = np.isfinite(form.expanded_totals(stack, grads))
+            if frozen:
+                finite[frozen] = True
             recording = epoch % config.record_every == 0
             if recording or not finite.all():
-                for pos, run in enumerate(live):
-                    if not finite[pos]:
-                        divergences[run] = (epoch, _first_non_finite(grads[pos]))
-                    elif recording:
-                        row = _exact_row(engines[run], epoch)
-                        if row is None:
-                            divergences[run] = (epoch, None)
-                        else:
-                            histories[run].append(row)
-                keep = np.array([divergences[run] is None for run in live])
-                if not keep.all():
-                    leave(keep)
-                    grads = grads[keep]
-                    if not live:
-                        break
+                for run in range(len(lambdas)):
+                    if not finite[run]:
+                        freeze(run, epoch, _first_non_finite(grads[run]))
+                    elif recording and divergences[run] is None:
+                        record(run, epoch)
+                if len(frozen) == len(lambdas):
+                    break
+            if frozen:
+                grads[frozen] = 0.0
             if reg is not None:
                 grads = apply_regularization(grads, reg)
             step(state, config.optimizer, stack, grads)
-        for run in live:
-            row = _exact_row(engines[run], config.epochs)
-            if row is None:
-                divergences[run] = (config.epochs, None)
-            else:
-                histories[run].append(row)
-        leave(np.zeros(len(live), dtype=bool))  # every report owns its model
+        for run in range(len(lambdas)):
+            if divergences[run] is None:
+                record(run, config.epochs)
 
     reports = []
-    for model, history, divergence in zip(models, histories, divergences):
+    for run, (history, divergence) in enumerate(zip(histories, divergences)):
+        model = template.copy()
+        model.coefficients[:] = saved.get(run, stack[run])
         epoch, location = divergence or (None, None)
         segment, power = location or (None, None)
         reports.append(TrainingReport(

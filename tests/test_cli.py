@@ -167,6 +167,17 @@ def test_eval_malformed_model_is_config_error(tmp_path, capsys):
     assert err == f"error: {bad}: model file lacks key 'breakpoints'\n"
 
 
+@pytest.mark.parametrize("degree", ["1.9", "1.0", "true", '"1"'])
+def test_eval_non_integer_degree_is_config_error(tmp_path, capsys, degree):
+    path = tmp_path / "model.json"
+    save_model(model_from_global([0, 1, 2], 1, [[0.5, 1.0], [1.5, -1.0]]), path)
+    path.write_text(path.read_text().replace('"degree": 1,', f'"degree": {degree},'))
+    code = main(["eval", "--model", str(path), "--out", str(tmp_path / "curve")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {path}: degree must be an integer, got {degree}\n"
+
+
 def test_fit_command_missing_input(tmp_path, capsys):
     code = main(["fit", "--input", str(tmp_path / "none.csv"), "--out", str(tmp_path / "o")])
     assert code == 3

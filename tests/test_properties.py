@@ -104,7 +104,9 @@ def test_breakdown_blend_identity(problem):
     # the cheap expanded value the training loop tests for finiteness agrees
     # with the residual form up to rounding on the scale of its largest term
     scale = 1.0 + engine.constant + bd.total
-    assert engine._expanded_total(engine.gradient()) == pytest.approx(bd.total, abs=1e-9 * scale)
+    form, coeffs = engine._forms([config.lam]), model.coefficients[None]
+    expanded = form.expanded_totals(coeffs, form.gradients(coeffs))[0]
+    assert expanded == pytest.approx(bd.total, abs=1e-9 * scale)
 
 
 @PROPERTY

@@ -319,8 +319,10 @@ def test_fit_sweep_matches_sequential_fits_bit_for_bit(optimizer, mode):
 def test_fit_sweep_middle_divergence_leaves_the_others_unchanged():
     xs = np.linspace(0, 16, 128)
     samples = SampleSet(xs, np.sin(2 * np.pi * xs / 16) + 0.5 * np.sin(4 * np.pi * xs / 16))
+    # with momentum a frozen run's row keeps moving, and without its zeroed
+    # gradient it would reach a non-finite one before the last epoch
     config = TrainConfig(segments=8, degree=5, epochs=400, loss=LossConfig(lam=0.5, k=2),
-                         optimizer=OptimizerConfig("sgd", 0.5))
+                         optimizer=OptimizerConfig("sgd", 1.0, momentum=0.5))
     lambdas = [1.0, 0.5, 0.25, 0.0]
     swept = fit_sweep(samples, config, lambdas)
     assert [r.diverged for r in swept] == [False, True, True, False]
