@@ -2,9 +2,11 @@
 
 Input is two-column x,y CSV; configuration comes from a flat key=value file
 (--config) with CLI flags taking precedence.  Results land in the output
-directory as model.json, history.csv, curve.csv, and repair.json, all with
-17-significant-digit numbers so reloading is lossless and reruns of the
-same manifest are byte-identical.
+directory as model.json, history.csv, curve.csv, and repair.json (plus
+summary.csv for a sweep).  One writer, _rows, formats every number of every
+file with %.17g, a chunk of table rows per %-format, so reloading is
+lossless up to the sign of zero and reruns of the same manifest are
+byte-identical.  load_model accepts only JSON numbers in the numeric fields.
 
 Exit codes: 0 success, 1 configuration error (including a malformed
 model file or an ill-conditioned repair), 2 divergence, 3 I/O error.
@@ -40,8 +42,8 @@ __all__ = [
     "console_entry",
 ]
 
-_FMT = ".17g"
-_CURVE_CHUNK = 4096  # curve.csv rows formatted per write
+_NUMBER = "%.17g"  # every number in every result file: 17 digits round-trip a double
+_CHUNK = 4096  # table rows formatted per %-format
 _KEY_ALIASES = {"lambda": "lam"}
 
 
@@ -121,48 +123,64 @@ def load_samples(path) -> SampleSet:
     return SampleSet(xs[order], ys[order])
 
 
-def _fmt(value: float) -> str:
-    return format(float(value), _FMT)
+def _rows(table, row: str, sep: str):
+    """Yield the text of a float table: row % each row's values, sep between rows.
+
+    A 1-D table holds one value per row.  Each chunk of rows is one
+    %-format, which keeps the text held at once small.
+    """
+    table = np.asarray(table, dtype=float)
+    if table.ndim == 1:
+        table = table[:, None]
+    for start in range(0, len(table), _CHUNK):
+        chunk = table[start:start + _CHUNK]
+        text = sep.join([row] * len(chunk)) % tuple(chunk.ravel().tolist())
+        yield sep + text if start else text
 
 
-def _json_value(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        return _fmt(value)
-    if isinstance(value, str):
-        return json.dumps(value)
-    if isinstance(value, dict):
-        items = ", ".join(f"{json.dumps(k)}: {_json_value(v)}" for k, v in value.items())
-        return "{" + items + "}"
-    if isinstance(value, (list, tuple, np.ndarray)):
-        return "[" + ", ".join(_json_value(v) for v in value) + "]"
-    raise TypeError(f"cannot serialize {type(value)!r}")
+def _json_array(table) -> str:
+    """A 1-D table as a JSON array of numbers, a 2-D one as an array of its rows."""
+    table = np.asarray(table, dtype=float)
+    row = _NUMBER if table.ndim == 1 else "[" + ", ".join([_NUMBER] * table.shape[1]) + "]"
+    return "[" + "".join(_rows(table, row, ", ")) + "]"
 
 
-def _write_json(obj: dict, path: Path):
-    lines = ["{"]
-    keys = list(obj)
-    for pos, key in enumerate(keys):
-        comma = "," if pos < len(keys) - 1 else ""
-        lines.append(f"  {json.dumps(key)}: {_json_value(obj[key])}{comma}")
-    lines.append("}")
-    path.write_text("\n".join(lines) + "\n")
+def _write_json(fields: dict, path: Path):
+    """fields maps each key to its value's JSON text."""
+    body = ",\n".join(f"  {json.dumps(key)}: {text}" for key, text in fields.items())
+    path.write_text("{\n" + body + "\n}\n")
+
+
+def _write_csv(path: Path, header: str, table, first: str = _NUMBER):
+    """The header line, then one line per table row: first formats column 0."""
+    row = first + ("," + _NUMBER) * header.count(",") + "\n"
+    with path.open("w") as handle:
+        handle.write(header + "\n")
+        handle.writelines(_rows(table, row, ""))
 
 
 def save_model(model: SplineModel, path):
+    domain = model.domain_map
     _write_json(
         {
-            "degree": model.degree,
-            "breakpoints": model.breakpoints,
-            "centers": model.centers,
-            "coefficients": [row for row in model.coefficients],
-            "domain_map": {"a": model.domain_map.a, "b": model.domain_map.b},
+            "degree": str(model.degree),
+            "breakpoints": _json_array(model.breakpoints),
+            "centers": _json_array(model.centers),
+            "coefficients": _json_array(model.coefficients),
+            "domain_map": "".join(_rows([[domain.a, domain.b]],
+                                        f'{{"a": {_NUMBER}, "b": {_NUMBER}}}', "")),
         },
         Path(path),
     )
+
+
+def _json_numbers(path: Path, field: str, values) -> np.ndarray:
+    """values, nested lists from json.loads, as a float array of JSON numbers only."""
+    entries = np.array(values, dtype=object)
+    # bool is an int subclass; a string would parse as a float
+    if not all(type(entry) in (int, float) for entry in entries.ravel()):
+        raise ValueError(f"{path}: {field} must hold only JSON numbers")
+    return entries.astype(float)
 
 
 def load_model(path) -> SplineModel:
@@ -172,25 +190,16 @@ def load_model(path) -> SplineModel:
         degree = obj["degree"]
         if not isinstance(degree, int) or isinstance(degree, bool):
             raise ValueError(f"{path}: degree must be an integer, got {json.dumps(degree)}")
-        return SplineModel(
-            np.asarray(obj["breakpoints"], dtype=float),
-            degree,
-            np.asarray(obj["coefficients"], dtype=float),
-            np.asarray(obj["centers"], dtype=float),
-            DomainMap(float(obj["domain_map"]["a"]), float(obj["domain_map"]["b"])),
-        )
+        breakpoints, coefficients, centers = (
+            _json_numbers(path, key, obj[key]) for key in ("breakpoints", "coefficients", "centers"))
+        a, b = obj["domain_map"]["a"], obj["domain_map"]["b"]
+        _json_numbers(path, "domain_map", [a, b])
+        return SplineModel(breakpoints, degree, coefficients, centers,
+                           DomainMap(float(a), float(b)))
     except KeyError as exc:
         raise ValueError(f"{path}: model file lacks key {exc}") from None
     except TypeError as exc:
         raise ValueError(f"{path}: malformed model file: {exc}") from None
-
-
-def _write_history(history, path: Path):
-    with path.open("w") as handle:
-        handle.write("epoch,total,l2,ck,strain\n")
-        for row in history:
-            handle.write(f"{row.epoch},{_fmt(row.total)},{_fmt(row.l2)},"
-                         f"{_fmt(row.ck)},{_fmt(row.strain)}\n")
 
 
 def _write_curve(model: SplineModel, k: int, resolution: int, path: Path):
@@ -205,24 +214,17 @@ def _write_curve(model: SplineModel, k: int, resolution: int, path: Path):
     table[:, 0] = xs
     for j in range(k + 1):
         table[:, j + 1] = evaluate(model, xs, j)
-    header = "x,f" + "".join(f",d{j}" for j in range(1, k + 1))
-    line = ",".join([f"%{_FMT}"] * table.shape[1]) + "\n"
-    with path.open("w") as handle:
-        handle.write(header + "\n")
-        # one %-format per chunk of rows; chunks keep the text's peak small
-        for start in range(0, len(table), _CURVE_CHUNK):
-            chunk = table[start:start + _CURVE_CHUNK]
-            handle.write((line * len(chunk)) % tuple(chunk.ravel().tolist()))
+    _write_csv(path, "x,f" + "".join(f",d{j}" for j in range(1, k + 1)), table)
 
 
 def _write_repair_report(report, path: Path):
     _write_json(
         {
-            "boundaries": report.positions,
-            "pre_defects": [row for row in report.pre_defects],
-            "post_defects": [row for row in report.post_defects],
-            "mean_targets": [row for row in report.mean_targets],
-            "max_correction": report.max_correction,
+            "boundaries": _json_array(report.positions),
+            "pre_defects": _json_array(report.pre_defects),
+            "post_defects": _json_array(report.post_defects),
+            "mean_targets": _json_array(report.mean_targets),
+            "max_correction": "".join(_rows([report.max_correction], _NUMBER, "")),
         },
         Path(path),
     )
@@ -253,7 +255,7 @@ def _write_fit(manifest: RunManifest, report):
     """
     outdir = Path(manifest.out)
     outdir.mkdir(parents=True, exist_ok=True)
-    _write_history(report.history, outdir / "history.csv")
+    _write_csv(outdir / "history.csv", "epoch,total,l2,ck,strain", report.history, "%d")
     if report.diverged:
         cause = ("loss became non-finite" if report.diverged_segment is None else
                  f"non-finite gradient at segment {report.diverged_segment}, "
@@ -309,12 +311,8 @@ def sweep(manifest: RunManifest, lambda_values) -> int:
             return code
         final = report.history[-1]
         rows.append((sub.lam, final.total, final.l2, final.ck,
-                     float(np.abs(repair_report.post_defects).max())
-                     if repair_report.post_defects.size else 0.0))
-    with (outdir / "summary.csv").open("w") as handle:
-        handle.write("lambda,total,l2,ck,post_repair_max_defect\n")
-        for row in rows:
-            handle.write(",".join(_fmt(v) for v in row) + "\n")
+                     np.abs(repair_report.post_defects).max(initial=0.0)))
+    _write_csv(outdir / "summary.csv", "lambda,total,l2,ck,post_repair_max_defect", rows)
     return 0
 
 
@@ -412,10 +410,8 @@ def _cmd_repair(args) -> int:
     outdir.mkdir(parents=True, exist_ok=True)
     save_model(repaired, outdir / "model.json")
     _write_repair_report(report, outdir / "repair.json")
-    print(f"repair: max pre defect "
-          f"{np.abs(report.pre_defects).max() if report.pre_defects.size else 0.0:.6g}, "
-          f"max post defect "
-          f"{np.abs(report.post_defects).max() if report.post_defects.size else 0.0:.6g}")
+    print(f"repair: max pre defect {np.abs(report.pre_defects).max(initial=0.0):.6g}, "
+          f"max post defect {np.abs(report.post_defects).max(initial=0.0):.6g}")
     return 0
 
 

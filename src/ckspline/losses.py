@@ -37,6 +37,7 @@ up without rebuilding.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -217,8 +218,9 @@ class LossEngine:
     """Precomputed quadratic form of the blended loss for one model and sample set.
 
     The constructor builds the tables that depend on the breakpoints and
-    samples, then assembles the Hessian H of total, the linear term and the
-    constant, so that total = 0.5 * c.H.c - linear.c + constant.  H is
+    samples.  The Hessian H of total, the linear term and the constant, so
+    that total = 0.5 * c.H.c - linear.c + constant, are assembled on first
+    use, since a sweep assembles its own stack instead.  H is
     block-tridiagonal: m diagonal blocks H[i, i], m-1 neighbour blocks
     H[i, i+1] (with H[i+1, i] their transposes) and, in cyclic/periodic
     mode, one corner block H[m-1, 0], each (d+1, d+1).  The assembly is
@@ -241,8 +243,19 @@ class LossEngine:
         self.ys = samples.ys
         self.bases, self.ck_divisor = _boundary_bases(model, config)
         self.strain_tables = _strain_tables(model)
-        self._form = self._forms([config.lam])
-        self.linear, self.constant = self._form.linear[0], float(self._form.constant[0])
+
+    @functools.cached_property
+    def _form(self) -> _Forms:
+        """This engine's one-lam form."""
+        return self._forms([self.config.lam])
+
+    @property
+    def linear(self) -> np.ndarray:
+        return self._form.linear[0]
+
+    @property
+    def constant(self) -> float:
+        return float(self._form.constant[0])
 
     def _forms(self, lams) -> _Forms:
         """The stacked forms of this engine's problem at each blend weight in lams.
@@ -297,8 +310,7 @@ class LossEngine:
         return LossBreakdown(total=total, l2=l2, ck=ck, strain=strain)
 
     def gradient(self) -> np.ndarray:
-        form = self._form
-        return _block_matvec(form.rows, form.neighbours, self.model.coefficients) - self.linear
+        return self._form.gradients(self.model.coefficients[None])[0]
 
 
 def l2_loss(model: SplineModel, samples: SampleSet) -> float:

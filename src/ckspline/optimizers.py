@@ -86,11 +86,15 @@ def init_state(config: OptimizerConfig, shape) -> OptimizerState:
 
 
 def _first_non_finite(grads: np.ndarray) -> tuple[int, int] | None:
-    """(1-based segment, power) of the first NaN or infinite entry, else None."""
+    """(1-based segment, power) of the first NaN or infinite entry, else None.
+
+    Segment and power are the last two axes; a 1-D gradient is one segment.
+    """
     finite = np.isfinite(grads)
     if finite.all():
         return None
-    row, col = np.unravel_index(int(np.flatnonzero(~finite)[0]), grads.shape)
+    index = np.unravel_index(int(np.flatnonzero(~finite)[0]), grads.shape)
+    row, col = ((0, 0) + index)[-2:]
     return int(row) + 1, int(col)
 
 

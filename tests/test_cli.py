@@ -5,7 +5,15 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from ckspline import DomainMap, evaluate, load_model, load_samples, save_model
+from ckspline import (
+    DomainMap,
+    SplineModel,
+    evaluate,
+    load_model,
+    load_samples,
+    repair_continuity,
+    save_model,
+)
 from ckspline.cli import main
 
 from conftest import benchmark_curve, model_from_global
@@ -88,6 +96,74 @@ def test_model_json_round_trip(tmp_path):
     assert loaded.domain_map == model.domain_map
     payload = json.loads(path.read_text())
     assert payload["degree"] == 3
+
+
+def _json_reference(fields) -> str:
+    """A result file's JSON built value by value: every float as format(v, ".17g")."""
+    def text(value):
+        if isinstance(value, dict):
+            return "{" + ", ".join(f"{json.dumps(k)}: {text(v)}" for k, v in value.items()) + "}"
+        if isinstance(value, (list, tuple, np.ndarray)):
+            return "[" + ", ".join(text(v) for v in value) + "]"
+        if isinstance(value, int):
+            return str(value)
+        return format(float(value), ".17g")
+    return "{\n" + ",\n".join(f"  {json.dumps(k)}: {text(v)}" for k, v in fields.items()) + "\n}\n"
+
+
+def _model_reference(model) -> str:
+    return _json_reference({
+        "degree": model.degree, "breakpoints": model.breakpoints, "centers": model.centers,
+        "coefficients": model.coefficients,
+        "domain_map": {"a": model.domain_map.a, "b": model.domain_map.b},
+    })
+
+
+def _repair_reference(report) -> str:
+    return _json_reference({
+        "boundaries": report.positions, "pre_defects": report.pre_defects,
+        "post_defects": report.post_defects, "mean_targets": report.mean_targets,
+        "max_correction": report.max_correction,
+    })
+
+
+def test_result_files_write_every_number_17g(tmp_path):
+    # signed zero, the smallest subnormal, extreme exponents, a value with no
+    # short exact decimal and integer-valued floats
+    model = SplineModel.from_breakpoints([0.0, 1.0, 2.0], 1, [[-0.0, 5e-324], [1e300, 0.1]],
+                                         DomainMap(4.0, 1e-300))
+    save_model(model, tmp_path / "model.json")
+    assert (tmp_path / "model.json").read_text() == _model_reference(model)
+
+    # more rows than one formatting chunk
+    wide = SplineModel.from_breakpoints(np.arange(5001.0), 0,
+                                        np.random.default_rng(4).normal(size=(5000, 1)))
+    save_model(wide, tmp_path / "wide.json")
+    # compared item by item, which keeps a failure's diff fast
+    assert (tmp_path / "wide.json").read_text().split(", ") == _model_reference(wide).split(", ")
+
+    single = SplineModel.from_breakpoints([0.0, 1.0], 3, [[0.1, -0.0, 3.0, 1e-300]])
+    save_model(single, tmp_path / "single.json")
+    for name in ("model.json", "single.json"):
+        out = tmp_path / f"repaired_{name}"
+        assert main(["repair", "--model", str(tmp_path / name), "--out", str(out),
+                     "--k", "0"]) == 0
+        repaired, report = repair_continuity(load_model(tmp_path / name), 0, "open")
+        assert (out / "model.json").read_text() == _model_reference(repaired)
+        assert (out / "repair.json").read_text() == _repair_reference(report)
+    assert json.loads((tmp_path / "repaired_single.json" / "repair.json").read_text()) == {
+        "boundaries": [], "pre_defects": [], "post_defects": [], "mean_targets": [],
+        "max_correction": 0}
+
+    data = write_benchmark_data(tmp_path / "bench.csv")
+    assert main(["fit", "--input", str(data), "--out", str(tmp_path / "fit"),
+                 "--segments", "2", "--degree", "3", "--k", "1", "--epochs", "5",
+                 "--record-every", "2"]) == 0
+    lines = (tmp_path / "fit" / "history.csv").read_text().splitlines()
+    rows = [line.split(",") for line in lines[1:]]
+    assert [int(row[0]) for row in rows] == [0, 2, 4, 5]
+    assert lines[1:] == [",".join([str(int(row[0]))] + [format(float(v), ".17g") for v in row[1:]])
+                         for row in rows]
 
 
 # ---------------------------------------------------------------- fit verb
@@ -176,6 +252,28 @@ def test_eval_non_integer_degree_is_config_error(tmp_path, capsys, degree):
     assert code == 1
     err = capsys.readouterr().err
     assert err == f"error: {path}: degree must be an integer, got {degree}\n"
+
+
+def _replace_first_number(value, bad):
+    if isinstance(value, list):
+        return [_replace_first_number(value[0], bad)] + value[1:]
+    if isinstance(value, dict):
+        key = next(iter(value))
+        return {**value, key: _replace_first_number(value[key], bad)}
+    return bad(value)
+
+
+@pytest.mark.parametrize("bad", [str, bool], ids=["string", "bool"])
+@pytest.mark.parametrize("field", ["breakpoints", "centers", "coefficients", "domain_map"])
+def test_eval_non_number_model_field_is_config_error(tmp_path, capsys, field, bad):
+    path = tmp_path / "model.json"
+    save_model(model_from_global([0, 1, 2], 1, [[0.5, 1.0], [1.5, -1.0]]), path)
+    payload = json.loads(path.read_text())
+    payload[field] = _replace_first_number(payload[field], bad)
+    path.write_text(json.dumps(payload))
+    code = main(["eval", "--model", str(path), "--out", str(tmp_path / "curve")])
+    assert code == 1
+    assert capsys.readouterr().err == f"error: {path}: {field} must hold only JSON numbers\n"
 
 
 def test_fit_command_missing_input(tmp_path, capsys):

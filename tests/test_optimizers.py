@@ -118,6 +118,22 @@ def test_non_finite_gradient_reports_location():
     assert state.step_count == 0  # failed step does not advance the counter
 
 
+@pytest.mark.parametrize("shape, where, segment, power", [
+    ((2, 3, 4), (1, 2, 3), 3, 3),  # a stack of runs: segment and power are the last two axes
+    ((5,), (4,), 1, 4),  # one flat segment
+])
+def test_non_finite_gradient_location_in_any_shape(shape, where, segment, power):
+    theta = np.zeros(shape)
+    config = OptimizerConfig("amsgrad", 0.1)
+    state = init_state(config, shape)
+    grads = np.zeros(shape)
+    grads[where] = np.nan
+    with pytest.raises(NonFiniteGradientError) as info:
+        step(state, config, theta, grads)
+    assert (info.value.segment, info.value.power) == (segment, power)
+    assert state.step_count == 0
+
+
 def test_gradient_shape_mismatch():
     theta = np.zeros((2, 2))
     config = OptimizerConfig("sgd", 0.1)
