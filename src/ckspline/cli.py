@@ -5,8 +5,9 @@ Input is two-column x,y CSV; configuration comes from a flat key=value file
 directory as model.json, history.csv, curve.csv, and repair.json (plus
 summary.csv for a sweep).  One writer, _rows, formats every number of every
 file with %.17g, a chunk of table rows per %-format, so reloading is
-lossless up to the sign of zero and reruns of the same manifest are
-byte-identical.  load_model accepts only JSON numbers in the numeric fields.
+lossless (load_model reads the "-0" of a negative zero back as -0.0) and
+reruns of the same manifest are byte-identical.  load_model accepts only
+JSON numbers that fit a double in the numeric fields.
 
 Exit codes: 0 success, 1 configuration error (including a malformed
 model file or an ill-conditioned repair), 2 divergence, 3 I/O error.
@@ -180,12 +181,20 @@ def _json_numbers(path: Path, field: str, values) -> np.ndarray:
     # bool is an int subclass; a string would parse as a float
     if not all(type(entry) in (int, float) for entry in entries.ravel()):
         raise ValueError(f"{path}: {field} must hold only JSON numbers")
-    return entries.astype(float)
+    try:
+        return entries.astype(float)
+    except OverflowError:
+        raise ValueError(f"{path}: {field} holds an integer too large for a double") from None
+
+
+def _json_int(text: str):
+    """A JSON integer as an int, except -0: %.17g writes a negative zero so."""
+    return -0.0 if text == "-0" else int(text)
 
 
 def load_model(path) -> SplineModel:
     path = Path(path)
-    obj = json.loads(path.read_text())
+    obj = json.loads(path.read_text(), parse_int=_json_int)
     try:
         degree = obj["degree"]
         if not isinstance(degree, int) or isinstance(degree, bool):

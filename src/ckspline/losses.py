@@ -25,9 +25,10 @@ Loss values come from the residual form instead (l2 from the sample
 residuals, ck from the jumps at every boundary in one batch, strain from its
 per-segment tables): the expanded form above loses digits when l2 is tiny.
 The training loop therefore takes the residual-form breakdown only at
-record epochs, and tests each epoch's loss for finiteness through the cheap
-expanded value.  fd_gradient differentiates breakdown numerically and so
-stays an oracle independent of the assembled operator.
+record epochs, in one pass over every run of a sweep, and tests each
+epoch's loss for finiteness through the cheap expanded value.  fd_gradient
+differentiates breakdown numerically and so stays an oracle independent of
+the assembled operator.
 
 All three terms are evaluated in internal (scaled) coordinates.  Functions
 here are pure; LossEngine only caches tables that depend on breakpoints and
@@ -105,9 +106,16 @@ def _sample_tables(model: SplineModel, samples: SampleSet):
     return seg, powers
 
 
-def _l2_value(coeffs, seg, powers, ys):
-    r = np.einsum("nt,nt->n", powers, coeffs[seg]) - ys
-    return coeffs.shape[0] / ys.size * float(r @ r)
+def _l2_values(coeffs, seg, powers, ys):
+    """(L,) l2 of an (L, m, d+1) coefficient stack.
+
+    A reduction sums in an order that follows its operands' memory layout.
+    take() keeps the gathered rows, and so the residuals, C-contiguous, and
+    each run's residuals are squared by their own dot product: a run's
+    value is the same bits whatever it is stacked with.
+    """
+    r = np.einsum("nt,rnt->rn", powers, coeffs.take(seg, axis=1)) - ys
+    return coeffs.shape[1] / ys.size * (r[:, None, :] @ r[:, :, None])[:, 0, 0]
 
 
 def _boundary_bases(model: SplineModel, config: LossConfig):
@@ -125,10 +133,15 @@ def _boundary_bases(model: SplineModel, config: LossConfig):
     return (left, right, basis_left, basis_right), (m if wrap else max(m - 1, 1))
 
 
-def _ck_value(coeffs, bases, divisor):
+def _ck_values(coeffs, bases, divisor):
+    """(L,) ck of an (L, m, d+1) coefficient stack.
+
+    _one_sided gathers with take(), so the jumps are C-contiguous and each
+    run's sum is the same bits whatever it is stacked with, as in _l2_values.
+    """
     left_vals, right_vals = _one_sided(bases, coeffs)
     jumps = right_vals - left_vals
-    return float(np.einsum("bj,bj->", jumps, jumps)) / divisor
+    return np.einsum("rbj,rbj->r", jumps, jumps) / divisor
 
 
 def _strain_tables(model: SplineModel):
@@ -149,11 +162,12 @@ def _strain_tables(model: SplineModel):
                     np.outer(weights, weights) * 2.0 * half ** (p + 1) / (p + 1), 0.0)
 
 
-def _strain_value(coeffs, tables):
+def _strain_values(coeffs, tables):
+    """(L,) strain of an (L, m, d+1) coefficient stack."""
     if tables is None:
-        return 0.0
-    upper = coeffs[:, 2:]
-    return float(np.einsum("is,ist,it->", upper, tables, upper))
+        return np.zeros(len(coeffs))
+    upper = coeffs[..., 2:]
+    return np.einsum("ris,ist,rit->r", upper, tables, upper)
 
 
 def _segment_sums(seg, columns, m):
@@ -173,14 +187,16 @@ def _row_axes(m: int) -> tuple[int, int, int]:
     return (0, 1, 2) if m == 1 else (0, 2, 1)
 
 
-def _block_matvec(rows, neighbours, coeffs):
+def _block_matvec(rows, neighbours, coeffs, out):
     """H.c for a stack of runs, with the run and segment axes merged into blocks.
 
     rows is (B, w, 3w) in the memory order of _row_axes, neighbours (B, 3)
     and coeffs (B, w): block b's row multiplies the three coefficient rows
-    coeffs[neighbours[b]].  One run is the B = m case.
+    coeffs[neighbours[b]].  The product is written to out, (B, w).  One run
+    is the B = m case.
     """
-    return np.einsum("ist,it->is", rows, coeffs[neighbours].reshape(len(coeffs), -1))
+    gathered = coeffs.take(neighbours, axis=0)
+    return np.einsum("ist,it->is", rows, gathered.reshape(len(coeffs), -1), out=out)
 
 
 class _Forms(NamedTuple):
@@ -189,7 +205,9 @@ class _Forms(NamedTuple):
     rows holds the (L*m, w, 3w) block rows in the memory order of
     _row_axes, neighbours the (L*m, 3) coefficient blocks each multiplies,
     linear and constant the (L, m, w) and (L,) stacks.  Both methods take an
-    (L, m, w) coefficient stack, one row per lam in order.
+    (L, m, w) coefficient stack, one row per lam in order.  gradients()
+    writes into an optional caller buffer, so a training loop allocates it
+    once per fit; without one it allocates its own and runs the same calls.
     """
 
     rows: np.ndarray
@@ -197,9 +215,14 @@ class _Forms(NamedTuple):
     linear: np.ndarray
     constant: np.ndarray
 
-    def gradients(self, coeffs: np.ndarray) -> np.ndarray:
-        blocks = coeffs.reshape(-1, coeffs.shape[-1])
-        return _block_matvec(self.rows, self.neighbours, blocks).reshape(coeffs.shape) - self.linear
+    def gradients(self, coeffs: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """H.c - linear per run, into out (C-contiguous, the shape of coeffs)."""
+        width = coeffs.shape[-1]
+        out = np.empty(coeffs.shape) if out is None else out
+        _block_matvec(self.rows, self.neighbours, coeffs.reshape(-1, width),
+                      out.reshape(-1, width))
+        out -= self.linear
+        return out
 
     def expanded_totals(self, coeffs: np.ndarray, grads: np.ndarray) -> np.ndarray:
         """total = 0.5*c.g - 0.5*linear.c + constant for each run, g the gradient at c.
@@ -209,9 +232,12 @@ class _Forms(NamedTuple):
         scale of the constant term: a finiteness test, not a loss value.
         """
         c = coeffs.reshape(len(coeffs), -1, 1)
-        g = grads.reshape(len(coeffs), 1, -1)
-        lin = self.linear.reshape(len(coeffs), 1, -1)
-        return 0.5 * (g @ c - lin @ c)[:, 0, 0] + self.constant
+        totals = np.matmul(grads.reshape(len(coeffs), 1, -1), c)
+        totals -= np.matmul(self.linear.reshape(len(coeffs), 1, -1), c)
+        totals *= 0.5
+        totals = totals.reshape(len(coeffs))
+        totals += self.constant
+        return totals
 
 
 class LossEngine:
@@ -232,7 +258,9 @@ class LossEngine:
     read model.coefficients live on every call.  The loss is affine in
     lam, so _forms() assembles the operators of a whole sweep in one pass,
     and an engine is its one-lam case: a run of a sweep gets the same
-    gradient bits as an engine of its own.
+    gradient bits as an engine of its own.  Likewise _breakdowns() is one
+    residual pass over a sweep's coefficient stack, and breakdown() is its
+    one-run case.
     """
 
     def __init__(self, model: SplineModel, samples: SampleSet, config: LossConfig):
@@ -299,15 +327,21 @@ class LossEngine:
                       linear, constant)
 
     def breakdown(self) -> LossBreakdown:
-        return self._breakdown(self.model.coefficients, self.config.lam)
+        return LossBreakdown(*self._breakdowns(self.model.coefficients[None], [self.config.lam])[0])
 
-    def _breakdown(self, coeffs: np.ndarray, lam: float) -> LossBreakdown:
-        """Residual-form values at coeffs, blended with weight lam."""
-        l2 = _l2_value(coeffs, self.seg, self.powers, self.ys)
-        ck = _ck_value(coeffs, self.bases, self.ck_divisor)
-        strain = _strain_value(coeffs, self.strain_tables)
-        total = lam * l2 + (1.0 - lam) * ck + self.config.strain_weight * strain
-        return LossBreakdown(total=total, l2=l2, ck=ck, strain=strain)
+    def _breakdowns(self, coeffs: np.ndarray, lams) -> list[tuple[float, float, float, float]]:
+        """Residual-form (total, l2, ck, strain) of each run of an (L, m, d+1) stack.
+
+        Run r is blended with weight lams[r], in Python floats.  Every run's
+        row is the same bits whatever L is and whatever it is stacked with,
+        so breakdown() is the L = 1 case.
+        """
+        weight = self.config.strain_weight
+        terms = zip(_l2_values(coeffs, self.seg, self.powers, self.ys).tolist(),
+                    _ck_values(coeffs, self.bases, self.ck_divisor).tolist(),
+                    _strain_values(coeffs, self.strain_tables).tolist())
+        return [(lam * l2 + (1.0 - lam) * ck + weight * strain, l2, ck, strain)
+                for lam, (l2, ck, strain) in zip(lams, terms)]
 
     def gradient(self) -> np.ndarray:
         return self._form.gradients(self.model.coefficients[None])[0]
@@ -316,7 +350,7 @@ class LossEngine:
 def l2_loss(model: SplineModel, samples: SampleSet) -> float:
     """(m/n) * sum of squared residuals; invariant to sample/segment counts."""
     seg, powers = _sample_tables(model, samples)
-    return _l2_value(model.coefficients, seg, powers, samples.ys)
+    return float(_l2_values(model.coefficients[None], seg, powers, samples.ys)[0])
 
 
 def ck_loss(model: SplineModel, config: LossConfig) -> float:
@@ -325,12 +359,12 @@ def ck_loss(model: SplineModel, config: LossConfig) -> float:
     Open mode with a single segment has no interior boundaries and scores 0.
     """
     _check_order(model, config)
-    return _ck_value(model.coefficients, *_boundary_bases(model, config))
+    return float(_ck_values(model.coefficients[None], *_boundary_bases(model, config))[0])
 
 
 def strain_loss(model: SplineModel) -> float:
     """Exact integral of the squared second derivative over the domain."""
-    return _strain_value(model.coefficients, _strain_tables(model))
+    return float(_strain_values(model.coefficients[None], _strain_tables(model))[0])
 
 
 def total_loss(model: SplineModel, samples: SampleSet, config: LossConfig) -> LossBreakdown:

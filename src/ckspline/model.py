@@ -272,10 +272,13 @@ def _boundaries(model: SplineModel, k: int, wrap: bool):
 
 
 def _one_sided(boundaries, coeffs):
-    """(B, k+1) left and right one-sided derivative values at every boundary."""
+    """(..., B, k+1) left and right one-sided derivative values at every boundary.
+
+    coeffs is (m, d+1) or a stack of them, (..., m, d+1).
+    """
     left, right, basis_left, basis_right = boundaries
-    return (np.einsum("bjt,bt->bj", basis_left, coeffs[left]),
-            np.einsum("bjt,bt->bj", basis_right, coeffs[right]))
+    return (np.einsum("bjt,...bt->...bj", basis_left, coeffs.take(left, axis=-2)),
+            np.einsum("bjt,...bt->...bj", basis_right, coeffs.take(right, axis=-2)))
 
 
 def rebase(coeffs, old_center, new_center):

@@ -1,10 +1,11 @@
 """Full-batch training loop plus preprocessing and initialization.
 
 Each epoch takes the blended loss's analytic gradient, optionally the
-degree-based gradient regularization, and one optimizer step, for every
-lambda of a sweep at once; exact loss values are computed only at record
-epochs.  Runs are deterministic; divergence (non-finite loss or gradient)
-stops a run early and is reported, not raised.
+degree-based gradient regularization, and one optimizer update, for every
+lambda of a sweep at once and in buffers allocated once per fit; exact loss
+values are computed only at record epochs, in one pass over all lambdas.
+Runs are deterministic; divergence (non-finite loss or gradient) stops a
+run early and is reported, not raised.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import numpy as np
 
 from .losses import LossConfig, LossEngine, _sample_tables
 from .model import DomainMap, SampleSet, SplineModel
-from .optimizers import OptimizerConfig, _first_non_finite, init_state, step
+from .optimizers import OptimizerConfig, _first_non_finite, _update, init_state
 
 __all__ = [
     "TrainConfig",
@@ -197,10 +198,14 @@ def fit_sweep(samples: SampleSet, config: TrainConfig, lambdas) -> list[Training
     The runs share everything but lam: validation, the scaled problem, the
     initial coefficients and one LossEngine are set up once.  The engine
     assembles the quadratic forms of all L runs in one pass; each epoch
-    takes one stacked gradient, one finiteness test and one optimizer step
-    over an (L, m, d+1) coefficient stack.  step() is elementwise and the
-    stacked gradient sums every block in the same order as a single run, so
-    each report is bit-identical to fit() at that lam.  A run that diverges
+    takes one stacked gradient, one finiteness test and one optimizer update
+    over an (L, m, d+1) coefficient stack, all written into buffers
+    allocated once per fit.  The update is the unchecked _update, since the
+    finiteness test has already run; each record epoch is one residual-form
+    pass over the whole stack.  The update is elementwise, the stacked
+    gradient sums every block in the same order as a single run, and the
+    record pass gives each run the bits of its own breakdown(), so each
+    report is bit-identical to fit() at that lam.  A run that diverges
     records where and saves a copy of its coefficients; it then stays in
     the stack, frozen: its gradient rows are zero and it is out of the
     finiteness test.  Reports come in the order of lambdas and own their
@@ -243,14 +248,19 @@ def fit_sweep(samples: SampleSet, config: TrainConfig, lambdas) -> list[Training
         saved[run] = stack[run].copy()
         frozen.append(run)
 
-    def record(run, epoch):
-        """Append run's residual-form history row, or freeze it if the total is non-finite."""
-        exact = engine._breakdown(stack[run], lambdas[run])
-        if math.isfinite(exact.total):
-            histories[run].append(HistoryRow(epoch, exact.total, exact.l2, exact.ck, exact.strain))
-        else:
-            freeze(run, epoch, None)
+    def record(epoch):
+        """Append each live run's residual-form history row, or freeze it if its total is non-finite."""
+        for run, row in enumerate(engine._breakdowns(stack, lambdas)):
+            if divergences[run] is not None:
+                continue
+            if math.isfinite(row[0]):
+                histories[run].append(HistoryRow(epoch, *row))
+            else:
+                freeze(run, epoch, None)
 
+    # every epoch writes into these buffers; none of them is ever rebound
+    grads = np.empty(stack.shape)
+    scratch = np.empty((2,) + stack.shape)
     # divergence is detected via isfinite checks, so silence the transient
     # overflow warnings a runaway run (or data near the float limit, in the
     # operator's assembly) produces on its way there
@@ -258,28 +268,26 @@ def fit_sweep(samples: SampleSet, config: TrainConfig, lambdas) -> list[Training
         engine = LossEngine(template, samples, loss_cfg)
         form = engine._forms(lambdas)
         for epoch in range(config.epochs):
-            grads = form.gradients(stack)
+            form.gradients(stack, grads)
             # the expanded value is non-finite whenever the gradient is
             finite = np.isfinite(form.expanded_totals(stack, grads))
             if frozen:
                 finite[frozen] = True
             recording = epoch % config.record_every == 0
             if recording or not finite.all():
-                for run in range(len(lambdas)):
-                    if not finite[run]:
-                        freeze(run, epoch, _first_non_finite(grads[run]))
-                    elif recording and divergences[run] is None:
-                        record(run, epoch)
+                for run in np.flatnonzero(~finite).tolist():
+                    freeze(run, epoch, _first_non_finite(grads[run]))
+                if recording:
+                    record(epoch)
                 if len(frozen) == len(lambdas):
                     break
             if frozen:
                 grads[frozen] = 0.0
             if reg is not None:
-                grads = apply_regularization(grads, reg)
-            step(state, config.optimizer, stack, grads)
-        for run in range(len(lambdas)):
-            if divergences[run] is None:
-                record(run, config.epochs)
+                grads *= reg
+            _update(state, config.optimizer, stack, grads, scratch)
+        if len(frozen) < len(lambdas):
+            record(config.epochs)
 
     reports = []
     for run, (history, divergence) in enumerate(zip(histories, divergences)):

@@ -276,6 +276,31 @@ def test_eval_non_number_model_field_is_config_error(tmp_path, capsys, field, ba
     assert capsys.readouterr().err == f"error: {path}: {field} must hold only JSON numbers\n"
 
 
+@pytest.mark.parametrize("field", ["breakpoints", "centers", "coefficients", "domain_map"])
+def test_eval_integer_too_large_for_a_double_is_config_error(tmp_path, capsys, field):
+    path = tmp_path / "model.json"
+    save_model(model_from_global([0, 1, 2], 1, [[0.5, 1.0], [1.5, -1.0]]), path)
+    payload = json.loads(path.read_text())
+    payload[field] = _replace_first_number(payload[field], lambda _: 10**400)
+    path.write_text(json.dumps(payload))
+    code = main(["eval", "--model", str(path), "--out", str(tmp_path / "curve")])
+    assert code == 1
+    assert capsys.readouterr().err == (
+        f"error: {path}: {field} holds an integer too large for a double\n")
+
+
+def test_model_round_trip_keeps_negative_zeros(tmp_path):
+    model = SplineModel.from_breakpoints([-0.0, 1.0, 2.0], 1, [[-0.0, 1.0], [0.5, -0.0]],
+                                         DomainMap(2.0, -0.0))
+    save_model(model, tmp_path / "first.json")
+    reloaded = load_model(tmp_path / "first.json")
+    save_model(reloaded, tmp_path / "second.json")
+    assert (tmp_path / "second.json").read_bytes() == (tmp_path / "first.json").read_bytes()
+    zeros = [reloaded.breakpoints[0], reloaded.coefficients[0, 0], reloaded.coefficients[1, 1],
+             reloaded.domain_map.b]
+    assert all(z == 0.0 and np.signbit(z) for z in zeros)
+
+
 def test_fit_command_missing_input(tmp_path, capsys):
     code = main(["fit", "--input", str(tmp_path / "none.csv"), "--out", str(tmp_path / "o")])
     assert code == 3

@@ -1,8 +1,12 @@
+import dataclasses
+import zlib
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 from ckspline import NonFiniteGradientError, OptimizerConfig, init_state, step
+from ckspline.optimizers import _update
 
 
 def run_constant(config, theta0, grad, steps):
@@ -169,3 +173,27 @@ def test_deterministic_trajectories(kind):
             step(state, config, theta, g)
         results.append(theta.copy())
     assert np.array_equal(results[0], results[1])
+
+
+@pytest.mark.parametrize("config", [
+    OptimizerConfig("sgd", 0.05),
+    OptimizerConfig("sgd", 0.05, momentum=0.9),
+    OptimizerConfig("sgd", 0.05, momentum=0.9, nesterov=True),
+    OptimizerConfig("adam", 0.05),
+    OptimizerConfig("adamax", 0.05),
+    OptimizerConfig("amsgrad", 0.05),
+], ids=["sgd", "momentum", "nesterov", "adam", "adamax", "amsgrad"])
+def test_unchecked_update_with_reused_scratch_equals_step(config):
+    rng = np.random.default_rng(zlib.crc32(repr(config).encode()))
+    shape = (3, 4, 5)
+    checked, unchecked = np.ones(shape), np.ones(shape)
+    checked_state, unchecked_state = init_state(config, shape), init_state(config, shape)
+    scratch = np.full((2,) + shape, np.nan)  # read before written would spread NaN
+    for _ in range(2000):
+        grads = rng.normal(size=shape) * 10.0 ** rng.integers(-3, 3)
+        step(checked_state, config, checked, grads)
+        _update(unchecked_state, config, unchecked, grads, scratch)
+    assert np.array_equal(checked, unchecked)
+    for field in dataclasses.fields(checked_state):
+        assert np.array_equal(getattr(checked_state, field.name),
+                              getattr(unchecked_state, field.name)), field.name

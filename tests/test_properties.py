@@ -109,6 +109,42 @@ def test_breakdown_blend_identity(problem):
     assert expanded == pytest.approx(bd.total, abs=1e-9 * scale)
 
 
+def solo_breakdown(engine, coeffs, lam):
+    """total, l2, ck and strain of one (m, d+1) run, term by term as defined."""
+    r = np.einsum("nt,nt->n", engine.powers, coeffs[engine.seg]) - engine.ys
+    l2 = coeffs.shape[0] / engine.ys.size * float(r @ r)
+    left, right, basis_left, basis_right = engine.bases
+    jumps = (np.einsum("bjt,bt->bj", basis_right, coeffs[right])
+             - np.einsum("bjt,bt->bj", basis_left, coeffs[left]))
+    ck = float(np.einsum("bj,bj->", jumps, jumps)) / engine.ck_divisor
+    upper = coeffs[:, 2:]
+    strain = (0.0 if engine.strain_tables is None
+              else float(np.einsum("is,ist,it->", upper, engine.strain_tables, upper)))
+    total = lam * l2 + (1.0 - lam) * ck + engine.config.strain_weight * strain
+    return total, l2, ck, strain
+
+
+@PROPERTY
+@given(problems(), st.integers(1, 6), st.data())
+def test_stacked_breakdown_row_equals_each_runs_own_breakdown(problem, runs, data):
+    # the record pass of a sweep: any number of runs, stacked in any order,
+    # against breakdown() and against the terms computed one run at a time
+    model, samples, config = problem
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    stack = rng.normal(size=(runs,) + model.coefficients.shape)
+    stack *= 10.0 ** rng.integers(-3, 4, size=(runs, 1, 1))
+    lams = data.draw(st.lists(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0),
+                              min_size=runs, max_size=runs))
+    order = rng.permutation(runs)
+    table = LossEngine(model, samples, config)._breakdowns(stack[order], [lams[r] for r in order])
+    for row, run in zip(table, order, strict=True):
+        model.coefficients[:] = stack[run]
+        engine = LossEngine(model, samples, replace(config, lam=lams[run]))
+        solo = engine.breakdown()
+        assert row == (solo.total, solo.l2, solo.ck, solo.strain)
+        assert row == solo_breakdown(engine, stack[run], lams[run])
+
+
 @PROPERTY
 @given(problems())
 def test_ck_matches_boundary_loop_reference(problem):

@@ -1,3 +1,4 @@
+import math
 import zlib
 from dataclasses import replace
 
@@ -7,7 +8,9 @@ from numpy.testing import assert_allclose
 
 from ckspline import (
     DomainMap,
+    HistoryRow,
     LossConfig,
+    LossEngine,
     OptimizerConfig,
     SampleSet,
     TrainConfig,
@@ -15,9 +18,11 @@ from ckspline import (
     evaluate,
     fit,
     fit_sweep,
+    init_state,
     least_squares_init,
     make_scaled_problem,
     regularization_vector,
+    step,
 )
 from ckspline.losses import _sample_tables
 from ckspline.training import _least_squares_coefficients
@@ -342,6 +347,78 @@ def test_fit_sweep_located_divergence_matches_fit():
     for report, solo in zip(swept, solo_fits(samples, config, [1.0, 0.5]), strict=True):
         assert report.diverged_epoch == 0 and report.diverged_segment is not None
         assert same_report(report, solo)
+
+
+def reference_fit(samples, config, lam):
+    """fit() at lam as a plain loop of public calls, one run, nothing buffered.
+
+    Returns the history, the final coefficients and the divergence epoch,
+    segment and power.  A run diverges at the first epoch whose expanded
+    loss value (read off the gradient) or recorded total is not finite.
+    """
+    model, _ = make_scaled_problem(samples, config.segments, config.degree, config.scaling)
+    if config.init == "least_squares":
+        model = least_squares_init(model, samples)
+    engine = LossEngine(model, samples, replace(config.loss, lam=lam))
+    coeffs, linear = model.coefficients, engine.linear.ravel()
+    state = init_state(config.optimizer, coeffs.shape)
+    history = []
+
+    def recorded(epoch):
+        loss = engine.breakdown()
+        if math.isfinite(loss.total):
+            history.append(HistoryRow(epoch, loss.total, loss.l2, loss.ck, loss.strain))
+        return math.isfinite(loss.total)
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(config.epochs):
+            grads = engine.gradient()
+            value = 0.5 * (grads.ravel() @ coeffs.ravel() - linear @ coeffs.ravel())
+            if not math.isfinite(value + engine.constant):
+                bad = np.argwhere(~np.isfinite(grads))
+                segment, power = (int(bad[0, 0]) + 1, int(bad[0, 1])) if len(bad) else (None, None)
+                return history, coeffs, (epoch, segment, power)
+            if epoch % config.record_every == 0 and not recorded(epoch):
+                return history, coeffs, (epoch, None, None)
+            if config.regularization == "degree_based":
+                grads = apply_regularization(grads, regularization_vector(config.degree))
+            step(state, config.optimizer, coeffs, grads)
+        if not recorded(config.epochs):
+            return history, coeffs, (config.epochs, None, None)
+    return history, coeffs, (None, None, None)
+
+
+@pytest.mark.parametrize("regularization", ["none", "degree_based"])
+@pytest.mark.parametrize("optimizer", [
+    OptimizerConfig("sgd", 0.05),
+    OptimizerConfig("sgd", 0.05, momentum=0.9),
+    OptimizerConfig("sgd", 0.05, momentum=0.9, nesterov=True),
+    OptimizerConfig("sgd", 1.0, momentum=0.5),  # diverges at lambda 0.1 without scaling
+    OptimizerConfig("adam", 0.05),
+    OptimizerConfig("adamax", 0.05),
+    OptimizerConfig("amsgrad", 0.05),
+], ids=["sgd", "momentum", "nesterov", "diverging", "adam", "adamax", "amsgrad"])
+def test_fit_sweep_equals_a_plain_loop_of_public_calls(optimizer, regularization):
+    # the buffered, stacked loop against gradient(), breakdown(),
+    # apply_regularization and step, run by run
+    rng = np.random.default_rng(zlib.crc32(f"{optimizer}-{regularization}".encode()))
+    xs = np.linspace(0.0, 16.0, 128)
+    samples = SampleSet(xs, np.sin(2 * np.pi * xs / 16) + 0.5 * np.sin(4 * np.pi * xs / 16)
+                        + 0.01 * rng.normal(size=xs.size))
+    config = TrainConfig(segments=8, degree=5, epochs=150,
+                         loss=LossConfig(k=2, boundary_mode="cyclic", strain_weight=0.01),
+                         optimizer=optimizer, regularization=regularization,
+                         init="zeros" if optimizer.kind == "sgd" else "least_squares",
+                         record_every=7)  # 7 does not divide 150
+    lambdas = [1.0, 0.5, 0.1]
+    swept = fit_sweep(samples, config, lambdas)
+    for report, lam in zip(swept, lambdas, strict=True):
+        history, coeffs, divergence = reference_fit(samples, config, lam)
+        assert report.history == history
+        assert np.array_equal(report.final_model.coefficients, coeffs)
+        assert (report.diverged_epoch, report.diverged_segment, report.diverged_power) == divergence
+    diverging = optimizer.learning_rate == 1.0 and regularization == "none"
+    assert any(r.diverged for r in swept) == diverging
 
 
 def test_fit_sweep_validates_once_before_training():
