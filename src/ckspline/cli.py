@@ -179,7 +179,7 @@ def _json_numbers(path: Path, field: str, values) -> np.ndarray:
     """values, nested lists from json.loads, as a float array of JSON numbers only."""
     entries = np.array(values, dtype=object)
     # bool is an int subclass; a string would parse as a float
-    if not all(type(entry) in (int, float) for entry in entries.ravel()):
+    if not all(type(entry) in (int, float, _NegativeZero) for entry in entries.ravel()):
         raise ValueError(f"{path}: {field} must hold only JSON numbers")
     try:
         return entries.astype(float)
@@ -187,9 +187,13 @@ def _json_numbers(path: Path, field: str, values) -> np.ndarray:
         raise ValueError(f"{path}: {field} holds an integer too large for a double") from None
 
 
+class _NegativeZero(float):
+    """The JSON integer -0, %.17g's spelling of a negative zero: -0.0 as a number, 0 as a degree."""
+
+
 def _json_int(text: str):
-    """A JSON integer as an int, except -0: %.17g writes a negative zero so."""
-    return -0.0 if text == "-0" else int(text)
+    """A JSON integer as an int, except -0, which keeps its sign as a _NegativeZero."""
+    return _NegativeZero(-0.0) if text == "-0" else int(text)
 
 
 def load_model(path) -> SplineModel:
@@ -197,6 +201,8 @@ def load_model(path) -> SplineModel:
     obj = json.loads(path.read_text(), parse_int=_json_int)
     try:
         degree = obj["degree"]
+        if type(degree) is _NegativeZero:
+            degree = 0
         if not isinstance(degree, int) or isinstance(degree, bool):
             raise ValueError(f"{path}: degree must be an integer, got {json.dumps(degree)}")
         breakpoints, coefficients, centers = (

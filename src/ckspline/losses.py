@@ -187,16 +187,14 @@ def _row_axes(m: int) -> tuple[int, int, int]:
     return (0, 1, 2) if m == 1 else (0, 2, 1)
 
 
-def _block_matvec(rows, neighbours, coeffs, out):
+def _block_matvec(rows, neighbours, coeffs):
     """H.c for a stack of runs, with the run and segment axes merged into blocks.
 
     rows is (B, w, 3w) in the memory order of _row_axes, neighbours (B, 3)
     and coeffs (B, w): block b's row multiplies the three coefficient rows
-    coeffs[neighbours[b]].  The product is written to out, (B, w).  One run
-    is the B = m case.
+    coeffs[neighbours[b]].  One run is the B = m case.
     """
-    gathered = coeffs.take(neighbours, axis=0)
-    return np.einsum("ist,it->is", rows, gathered.reshape(len(coeffs), -1), out=out)
+    return np.einsum("ist,it->is", rows, coeffs.take(neighbours, axis=0).reshape(len(coeffs), -1))
 
 
 class _Forms(NamedTuple):
@@ -205,9 +203,7 @@ class _Forms(NamedTuple):
     rows holds the (L*m, w, 3w) block rows in the memory order of
     _row_axes, neighbours the (L*m, 3) coefficient blocks each multiplies,
     linear and constant the (L, m, w) and (L,) stacks.  Both methods take an
-    (L, m, w) coefficient stack, one row per lam in order.  gradients()
-    writes into an optional caller buffer, so a training loop allocates it
-    once per fit; without one it allocates its own and runs the same calls.
+    (L, m, w) coefficient stack, one row per lam in order.
     """
 
     rows: np.ndarray
@@ -215,14 +211,9 @@ class _Forms(NamedTuple):
     linear: np.ndarray
     constant: np.ndarray
 
-    def gradients(self, coeffs: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """H.c - linear per run, into out (C-contiguous, the shape of coeffs)."""
-        width = coeffs.shape[-1]
-        out = np.empty(coeffs.shape) if out is None else out
-        _block_matvec(self.rows, self.neighbours, coeffs.reshape(-1, width),
-                      out.reshape(-1, width))
-        out -= self.linear
-        return out
+    def gradients(self, coeffs: np.ndarray) -> np.ndarray:
+        blocks = coeffs.reshape(-1, coeffs.shape[-1])
+        return _block_matvec(self.rows, self.neighbours, blocks).reshape(coeffs.shape) - self.linear
 
     def expanded_totals(self, coeffs: np.ndarray, grads: np.ndarray) -> np.ndarray:
         """total = 0.5*c.g - 0.5*linear.c + constant for each run, g the gradient at c.
@@ -232,12 +223,9 @@ class _Forms(NamedTuple):
         scale of the constant term: a finiteness test, not a loss value.
         """
         c = coeffs.reshape(len(coeffs), -1, 1)
-        totals = np.matmul(grads.reshape(len(coeffs), 1, -1), c)
-        totals -= np.matmul(self.linear.reshape(len(coeffs), 1, -1), c)
-        totals *= 0.5
-        totals = totals.reshape(len(coeffs))
-        totals += self.constant
-        return totals
+        g = grads.reshape(len(coeffs), 1, -1)
+        lin = self.linear.reshape(len(coeffs), 1, -1)
+        return 0.5 * (g @ c - lin @ c)[:, 0, 0] + self.constant
 
 
 class LossEngine:

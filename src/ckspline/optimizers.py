@@ -3,9 +3,8 @@
 Four families: SGD (plain, classical momentum, Nesterov), Adam, Adamax, and
 AMSGrad.  One OptimizerState per training run; step() mutates the state and
 the coefficient matrix in place and is fully deterministic.  step() checks
-the gradient and then runs _update(), which checks nothing and writes its
-temporaries into a caller's scratch buffer; the training loop, which has
-tested the gradient already, calls _update() directly.
+the gradient and then runs _update(), which checks nothing; the training
+loop, which has tested the gradient already, calls _update() directly.
 """
 
 from __future__ import annotations
@@ -116,64 +115,43 @@ def step(state: OptimizerState, config: OptimizerConfig,
     location = _first_non_finite(grads)
     if location is not None:
         raise NonFiniteGradientError(*location)
-    _update(state, config, coefficients, grads, np.empty((2,) + grads.shape))
+    _update(state, config, coefficients, grads)
 
 
 def _update(state: OptimizerState, config: OptimizerConfig,
-            coefficients: np.ndarray, grads: np.ndarray, scratch: np.ndarray) -> None:
-    """step() without its checks: grads must be a finite float array shaped like coefficients.
-
-    scratch is a (2, *coefficients.shape) buffer for the update's
-    temporaries, so a training loop allocates nothing per step.  Every
-    ufunc runs in the order the update's formula gives, so the bits do not
-    depend on the buffers.
-    """
+            coefficients: np.ndarray, grads: np.ndarray) -> None:
+    """step() without its checks: grads must be a finite float array shaped like coefficients."""
     state.step_count += 1
     t = state.step_count
     lr = config.learning_rate
-    tmp, tmp2 = scratch
 
     if config.kind == "sgd":
-        # vel = momentum*vel - lr*g; nesterov steps by momentum*vel - lr*g
         vel = state.velocity
         vel *= config.momentum
-        np.multiply(lr, grads, out=tmp)
-        vel -= tmp
+        vel -= lr * grads
         if config.nesterov:
-            np.multiply(config.momentum, vel, out=tmp2)
-            tmp2 -= tmp
-            coefficients += tmp2
+            coefficients += config.momentum * vel - lr * grads
         else:
             coefficients += vel
         return
 
     m1 = state.first_moment
     m1 *= config.beta1
-    m1 += np.multiply(1.0 - config.beta1, grads, out=tmp)
+    m1 += (1.0 - config.beta1) * grads
 
     if config.kind == "adamax":
-        # norm = max(beta2*norm, |g|); step (lr/(1-beta1**t))*m1 / (norm + eps)
         norm = state.inf_norm
-        np.maximum(np.multiply(config.beta2, norm, out=tmp), np.abs(grads, out=tmp2), out=norm)
-        np.multiply(lr / (1.0 - config.beta1**t), m1, out=tmp)
-        tmp /= np.add(norm, config.epsilon, out=tmp2)
-        coefficients -= tmp
+        np.maximum(config.beta2 * norm, np.abs(grads), out=norm)
+        coefficients -= (lr / (1.0 - config.beta1**t)) * m1 / (norm + config.epsilon)
         return
 
-    # m2 += (1-beta2)*g*g; step lr*m1_hat / (sqrt(m2_hat) + eps), epsilon
-    # outside the square root, with m2_hat the running max for amsgrad
     m2 = state.second_moment
     m2 *= config.beta2
-    np.multiply(1.0 - config.beta2, grads, out=tmp)
-    tmp *= grads
-    m2 += tmp
-    m1_hat = np.divide(m1, 1.0 - config.beta1**t, out=tmp)
-    m2_hat = np.divide(m2, 1.0 - config.beta2**t, out=tmp2)
+    m2 += (1.0 - config.beta2) * grads * grads
+    m1_hat = m1 / (1.0 - config.beta1**t)
+    m2_hat = m2 / (1.0 - config.beta2**t)
     if config.kind == "amsgrad":
         np.maximum(state.max_second_moment, m2_hat, out=state.max_second_moment)
         m2_hat = state.max_second_moment
-    m1_hat *= lr
-    np.sqrt(m2_hat, out=tmp2)
-    tmp2 += config.epsilon
-    m1_hat /= tmp2
-    coefficients -= m1_hat
+    # epsilon sits outside the square root
+    coefficients -= lr * m1_hat / (np.sqrt(m2_hat) + config.epsilon)

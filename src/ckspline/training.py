@@ -2,10 +2,10 @@
 
 Each epoch takes the blended loss's analytic gradient, optionally the
 degree-based gradient regularization, and one optimizer update, for every
-lambda of a sweep at once and in buffers allocated once per fit; exact loss
-values are computed only at record epochs, in one pass over all lambdas.
-Runs are deterministic; divergence (non-finite loss or gradient) stops a
-run early and is reported, not raised.
+lambda of a sweep at once; exact loss values are computed only at record
+epochs, in one pass over all lambdas.  Runs are deterministic; divergence
+(non-finite loss or gradient) stops a run early and is reported, not
+raised.
 """
 
 from __future__ import annotations
@@ -199,10 +199,9 @@ def fit_sweep(samples: SampleSet, config: TrainConfig, lambdas) -> list[Training
     initial coefficients and one LossEngine are set up once.  The engine
     assembles the quadratic forms of all L runs in one pass; each epoch
     takes one stacked gradient, one finiteness test and one optimizer update
-    over an (L, m, d+1) coefficient stack, all written into buffers
-    allocated once per fit.  The update is the unchecked _update, since the
-    finiteness test has already run; each record epoch is one residual-form
-    pass over the whole stack.  The update is elementwise, the stacked
+    over an (L, m, d+1) coefficient stack.  The update is the unchecked
+    _update, since the finiteness test has already run; each record epoch
+    is one residual-form pass over the whole stack.  The update is elementwise, the stacked
     gradient sums every block in the same order as a single run, and the
     record pass gives each run the bits of its own breakdown(), so each
     report is bit-identical to fit() at that lam.  A run that diverges
@@ -249,7 +248,7 @@ def fit_sweep(samples: SampleSet, config: TrainConfig, lambdas) -> list[Training
         frozen.append(run)
 
     def record(epoch):
-        """Append each live run's residual-form history row, or freeze it if its total is non-finite."""
+        """Append each live run's history row, or freeze the run if its total is non-finite."""
         for run, row in enumerate(engine._breakdowns(stack, lambdas)):
             if divergences[run] is not None:
                 continue
@@ -258,9 +257,6 @@ def fit_sweep(samples: SampleSet, config: TrainConfig, lambdas) -> list[Training
             else:
                 freeze(run, epoch, None)
 
-    # every epoch writes into these buffers; none of them is ever rebound
-    grads = np.empty(stack.shape)
-    scratch = np.empty((2,) + stack.shape)
     # divergence is detected via isfinite checks, so silence the transient
     # overflow warnings a runaway run (or data near the float limit, in the
     # operator's assembly) produces on its way there
@@ -268,7 +264,7 @@ def fit_sweep(samples: SampleSet, config: TrainConfig, lambdas) -> list[Training
         engine = LossEngine(template, samples, loss_cfg)
         form = engine._forms(lambdas)
         for epoch in range(config.epochs):
-            form.gradients(stack, grads)
+            grads = form.gradients(stack)
             # the expanded value is non-finite whenever the gradient is
             finite = np.isfinite(form.expanded_totals(stack, grads))
             if frozen:
@@ -285,7 +281,7 @@ def fit_sweep(samples: SampleSet, config: TrainConfig, lambdas) -> list[Training
                 grads[frozen] = 0.0
             if reg is not None:
                 grads *= reg
-            _update(state, config.optimizer, stack, grads, scratch)
+            _update(state, config.optimizer, stack, grads)
         if len(frozen) < len(lambdas):
             record(config.epochs)
 

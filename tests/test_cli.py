@@ -301,6 +301,17 @@ def test_model_round_trip_keeps_negative_zeros(tmp_path):
     assert all(z == 0.0 and np.signbit(z) for z in zeros)
 
 
+def test_model_negative_zero_degree_reads_as_zero(tmp_path):
+    path = tmp_path / "model.json"
+    save_model(model_from_global([0, 1, 2], 0, [[0.5], [-1.5]]), path)
+    first = path.read_text()
+    path.write_text(first.replace('"degree": 0,', '"degree": -0,'))
+    reloaded = load_model(path)
+    assert type(reloaded.degree) is int and reloaded.degree == 0
+    save_model(reloaded, path)
+    assert path.read_text() == first
+
+
 def test_fit_command_missing_input(tmp_path, capsys):
     code = main(["fit", "--input", str(tmp_path / "none.csv"), "--out", str(tmp_path / "o")])
     assert code == 3

@@ -350,7 +350,7 @@ def test_fit_sweep_located_divergence_matches_fit():
 
 
 def reference_fit(samples, config, lam):
-    """fit() at lam as a plain loop of public calls, one run, nothing buffered.
+    """fit() at lam as a plain loop of public calls, one run, nothing stacked.
 
     Returns the history, the final coefficients and the divergence epoch,
     segment and power.  A run diverges at the first epoch whose expanded
@@ -399,7 +399,7 @@ def reference_fit(samples, config, lam):
     OptimizerConfig("amsgrad", 0.05),
 ], ids=["sgd", "momentum", "nesterov", "diverging", "adam", "adamax", "amsgrad"])
 def test_fit_sweep_equals_a_plain_loop_of_public_calls(optimizer, regularization):
-    # the buffered, stacked loop against gradient(), breakdown(),
+    # the stacked loop against gradient(), breakdown(),
     # apply_regularization and step, run by run
     rng = np.random.default_rng(zlib.crc32(f"{optimizer}-{regularization}".encode()))
     xs = np.linspace(0.0, 16.0, 128)
