@@ -307,6 +307,7 @@ def sweep(manifest: RunManifest, lambda_values) -> int:
         raise ValueError(
             f"sweep repairs each fit and needs degree >= 2k+1 = {2 * manifest.k + 1}"
         )
+    _check_fit(manifest)
     outdir = Path(manifest.out)
     seen: dict[str, int] = {}
     subs = []
@@ -316,7 +317,6 @@ def sweep(manifest: RunManifest, lambda_values) -> int:
         if seen[name] > 1:
             name = f"{name}_{seen[name]}"
         subs.append(replace(manifest, lam=value, out=str(outdir / name), repair=True))
-    _check_fit(subs[0])
     samples = load_samples(manifest.input)
     reports = fit_sweep(samples, subs[0].to_train_config(), values)
     rows = []
@@ -435,6 +435,8 @@ def _cmd_eval(args) -> int:
     if not manifest.model or not manifest.out:
         raise ValueError("eval needs --model and --out")
     _check_resolution(manifest)
+    if manifest.k < 0:
+        raise ValueError(f"k must be >= 0, got {manifest.k}")
     model = load_model(manifest.model)
     outdir = Path(manifest.out)
     outdir.mkdir(parents=True, exist_ok=True)

@@ -16,10 +16,10 @@ Segment i only meets segments i-1 and i+1 (and, across the wrap, segment m-1
 meets segment 0), so the Hessian H is block-tridiagonal with one corner
 block.  LossEngine assembles H and the linear term once, from the samples,
 the boundary derivative bases and the strain tables; the gradient is then a
-batched block mat-vec whose cost does not depend on the number of samples.
-H, linear and constant are affine in lam, so the forms of a whole lambda
-sweep are assembled in one pass and stacked, and one mat-vec serves every
-run.
+block mat-vec whose cost does not depend on the number of samples.  H,
+linear and constant are affine in lam, so the forms of a whole lambda sweep
+are assembled in one pass and stacked as an (L, m) grid of block rows, and
+one matmul over that grid serves every run.
 
 Loss values come from the residual form instead (l2 from the sample
 residuals, ck from the jumps at every boundary in one batch, strain from its
@@ -175,35 +175,16 @@ def _segment_sums(seg, columns, m):
     return np.stack([np.bincount(seg, col, minlength=m) for col in columns], axis=1)
 
 
-def _row_axes(m: int) -> tuple[int, int, int]:
-    """Axis order in which the (m, w, 3w) block rows are stored C-contiguous.
-
-    einsum's summation order follows the operands' memory layout.  With
-    these layouts each block is summed in the order np.concatenate's output
-    gives a single run, and in that same order for any number of stacked
-    blocks, so a run of a sweep gets its solo gradient bit for bit.  Both
-    orders are their own inverse.
-    """
-    return (0, 1, 2) if m == 1 else (0, 2, 1)
-
-
-def _block_matvec(rows, neighbours, coeffs):
-    """H.c for a stack of runs, with the run and segment axes merged into blocks.
-
-    rows is (B, w, 3w) in the memory order of _row_axes, neighbours (B, 3)
-    and coeffs (B, w): block b's row multiplies the three coefficient rows
-    coeffs[neighbours[b]].  One run is the B = m case.
-    """
-    return np.einsum("ist,it->is", rows, coeffs.take(neighbours, axis=0).reshape(len(coeffs), -1))
-
-
 class _Forms(NamedTuple):
     """The quadratic forms of L runs that differ only in lam, stacked.
 
-    rows holds the (L*m, w, 3w) block rows in the memory order of
-    _row_axes, neighbours the (L*m, 3) coefficient blocks each multiplies,
-    linear and constant the (L, m, w) and (L,) stacks.  Both methods take an
-    (L, m, w) coefficient stack, one row per lam in order.
+    rows holds the (L, m, w, 3w) block rows, neighbours the (m, 3)
+    coefficient rows each block row multiplies, linear and constant the
+    (L, m, w) and (L,) stacks.  Both methods take an (L, m, w) coefficient
+    stack, one row per lam in order.  gradients() is one stacked matmul,
+    which makes the same BLAS call with the same strides for every (run,
+    segment) item, so a run's gradient is the same bits whatever it is
+    stacked with.
     """
 
     rows: np.ndarray
@@ -212,8 +193,8 @@ class _Forms(NamedTuple):
     constant: np.ndarray
 
     def gradients(self, coeffs: np.ndarray) -> np.ndarray:
-        blocks = coeffs.reshape(-1, coeffs.shape[-1])
-        return _block_matvec(self.rows, self.neighbours, blocks).reshape(coeffs.shape) - self.linear
+        gathered = coeffs.take(self.neighbours, axis=1).reshape(*coeffs.shape[:2], -1, 1)
+        return (self.rows @ gathered)[..., 0] - self.linear
 
     def expanded_totals(self, coeffs: np.ndarray, grads: np.ndarray) -> np.ndarray:
         """total = 0.5*c.g - 0.5*linear.c + constant for each run, g the gradient at c.
@@ -239,16 +220,17 @@ class LossEngine:
     H[i, i+1] (with H[i+1, i] their transposes) and, in cyclic/periodic
     mode, one corner block H[m-1, 0], each (d+1, d+1).  The assembly is
     vectorised: l2 blocks come from per-segment bincount sums, ck blocks
-    from all boundary derivative bases at once.  gradient() is one batched
-    block mat-vec minus the linear term.
+    from all boundary derivative bases at once.  gradient() is one matmul
+    of the block rows with the gathered neighbour coefficients, minus the
+    linear term.
 
     breakdown() returns the exact per-term values in residual form.  Both
     read model.coefficients live on every call.  The loss is affine in
     lam, so _forms() assembles the operators of a whole sweep in one pass,
-    and an engine is its one-lam case: a run of a sweep gets the same
-    gradient bits as an engine of its own.  Likewise _breakdowns() is one
-    residual pass over a sweep's coefficient stack, and breakdown() is its
-    one-run case.
+    and an engine is its one-lam case: matmul treats every (run, segment)
+    block alike, so a run of a sweep gets the same gradient bits as an
+    engine of its own.  Likewise _breakdowns() is one residual pass over a
+    sweep's coefficient stack, and breakdown() is its one-run case.
     """
 
     def __init__(self, model: SplineModel, samples: SampleSet, config: LossConfig):
@@ -306,13 +288,9 @@ class LossEngine:
 
         # block row i is [H[i, i-1], H[i, i], H[i, i+1]] against c[i-1], c[i], c[i+1], mod m
         before = np.roll(after, 1, axis=1).swapaxes(2, 3)
-        axes = _row_axes(m)
-        blocks = np.concatenate([before, diag, after], axis=3).reshape(-1, width, 3 * width)
         i = np.arange(m)
-        neighbours = np.stack([(i - 1) % m, i, (i + 1) % m], axis=1)
-        return _Forms(blocks.transpose(axes).copy().transpose(axes),
-                      (m * np.arange(len(lam))[:, None, None] + neighbours).reshape(-1, 3),
-                      linear, constant)
+        return _Forms(np.concatenate([before, diag, after], axis=3),
+                      np.stack([(i - 1) % m, i, (i + 1) % m], axis=1), linear, constant)
 
     def breakdown(self) -> LossBreakdown:
         return LossBreakdown(*self._breakdowns(self.model.coefficients[None], [self.config.lam])[0])

@@ -201,14 +201,14 @@ def fit_sweep(samples: SampleSet, config: TrainConfig, lambdas) -> list[Training
     takes one stacked gradient, one finiteness test and one optimizer update
     over an (L, m, d+1) coefficient stack.  The update is the unchecked
     _update, since the finiteness test has already run; each record epoch
-    is one residual-form pass over the whole stack.  The update is elementwise, the stacked
-    gradient sums every block in the same order as a single run, and the
-    record pass gives each run the bits of its own breakdown(), so each
-    report is bit-identical to fit() at that lam.  A run that diverges
-    records where and saves a copy of its coefficients; it then stays in
-    the stack, frozen: its gradient rows are zero and it is out of the
-    finiteness test.  Reports come in the order of lambdas and own their
-    models.
+    is one residual-form pass over the whole stack.  The update is
+    elementwise, the stacked gradient is one matmul that treats every
+    (run, segment) block as a single run's, and the record pass gives each
+    run the bits of its own breakdown(), so each report is bit-identical to
+    fit() at that lam.  A run that diverges records where and saves a copy
+    of its coefficients; it then stays in the stack, frozen: its gradient
+    rows are zero and it is out of the finiteness test.  Reports come in
+    the order of lambdas and own their models.
     """
     lambdas = list(lambdas)
     if not lambdas:

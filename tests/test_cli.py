@@ -254,6 +254,16 @@ def test_eval_non_integer_degree_is_config_error(tmp_path, capsys, degree):
     assert err == f"error: {path}: degree must be an integer, got {degree}\n"
 
 
+@pytest.mark.parametrize("k", ["-1", "-3"])
+def test_eval_negative_k_is_config_error(tmp_path, capsys, k):
+    path = tmp_path / "model.json"
+    save_model(model_from_global([0, 1, 2], 3, [[0.0], [1.0]]), path)
+    out = tmp_path / "curve"
+    assert main(["eval", "--model", str(path), "--out", str(out), "--k", k]) == 1
+    assert capsys.readouterr().err == f"error: k must be >= 0, got {k}\n"
+    assert not out.exists()
+
+
 def _replace_first_number(value, bad):
     if isinstance(value, list):
         return [_replace_first_number(value[0], bad)] + value[1:]
@@ -487,6 +497,17 @@ def test_sweep_rejects_out_of_range_lambda(tmp_path):
     data = write_line_data(tmp_path / "line.csv")
     assert main(["sweep", "--input", str(data), "--out", str(tmp_path / "s"),
                  "--lambdas", "0.5,2.0"]) == 1
+
+
+def test_sweep_without_out_writes_nothing(tmp_path, capsys, monkeypatch):
+    data = write_line_data(tmp_path / "line.csv")
+    work = tmp_path / "work"
+    work.mkdir()
+    monkeypatch.chdir(work)
+    assert main(["sweep", "--input", str(data), "--lambdas", "1,0",
+                 "--segments", "2", "--epochs", "5"]) == 1
+    assert capsys.readouterr().err == "error: input and out paths must be set\n"
+    assert list(work.iterdir()) == []
 
 
 def read_tree(root):

@@ -127,8 +127,9 @@ def solo_breakdown(engine, coeffs, lam):
 @PROPERTY
 @given(problems(), st.integers(1, 6), st.data())
 def test_stacked_breakdown_row_equals_each_runs_own_breakdown(problem, runs, data):
-    # the record pass of a sweep: any number of runs, stacked in any order,
-    # against breakdown() and against the terms computed one run at a time
+    # the record pass and the gradient of a sweep: any number of runs, stacked
+    # in any order, against breakdown() and gradient() of each run's own engine
+    # and against the terms computed one run at a time
     model, samples, config = problem
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
     stack = rng.normal(size=(runs,) + model.coefficients.shape)
@@ -136,13 +137,16 @@ def test_stacked_breakdown_row_equals_each_runs_own_breakdown(problem, runs, dat
     lams = data.draw(st.lists(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0),
                               min_size=runs, max_size=runs))
     order = rng.permutation(runs)
-    table = LossEngine(model, samples, config)._breakdowns(stack[order], [lams[r] for r in order])
-    for row, run in zip(table, order, strict=True):
+    stacked, ordered = LossEngine(model, samples, config), [lams[r] for r in order]
+    table = stacked._breakdowns(stack[order], ordered)
+    grads = stacked._forms(ordered).gradients(stack[order])
+    for row, grad, run in zip(table, grads, order, strict=True):
         model.coefficients[:] = stack[run]
         engine = LossEngine(model, samples, replace(config, lam=lams[run]))
         solo = engine.breakdown()
         assert row == (solo.total, solo.l2, solo.ck, solo.strain)
         assert row == solo_breakdown(engine, stack[run], lams[run])
+        assert grad.tobytes() == engine.gradient().tobytes()
 
 
 @PROPERTY
