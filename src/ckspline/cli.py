@@ -3,11 +3,13 @@
 Input is two-column x,y CSV; configuration comes from a flat key=value file
 (--config) with CLI flags taking precedence.  Results land in the output
 directory as model.json, history.csv, curve.csv, and repair.json (plus
-summary.csv for a sweep).  One writer, _rows, formats every number of every
-file with %.17g, a chunk of table rows per %-format, so reloading is
-lossless (load_model reads the "-0" of a negative zero back as -0.0) and
-reruns of the same manifest are byte-identical.  load_model accepts only
-JSON numbers that fit a double in the numeric fields.
+summary.csv for a sweep).  One writer, _text._rows, writes every number of
+every file as exactly the bytes of "%.17g" % value: a table of 512 values or
+more through a numpy kernel, a chunk of values at a time, and a smaller one
+through the %-format itself.  So reloading is lossless (load_model reads the
+"-0" of a negative zero back as -0.0) and reruns of the same manifest are
+byte-identical.  load_model accepts only JSON numbers that fit a double in
+the numeric fields.
 
 Exit codes: 0 success, 1 configuration error (including a malformed
 model file or an ill-conditioned repair), 2 divergence, 3 I/O error.
@@ -26,6 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
+from ._text import _NUMBER, _rows
 from .losses import BOUNDARY_MODES, LossConfig
 from .model import DomainMap, SampleSet, SplineModel, evaluate
 from .optimizers import OPTIMIZER_KINDS, OptimizerConfig
@@ -43,8 +46,6 @@ __all__ = [
     "console_entry",
 ]
 
-_NUMBER = "%.17g"  # every number in every result file: 17 digits round-trip a double
-_CHUNK = 4096  # table rows formatted per %-format
 _KEY_ALIASES = {"lambda": "lam"}
 
 
@@ -124,21 +125,6 @@ def load_samples(path) -> SampleSet:
     return SampleSet(xs[order], ys[order])
 
 
-def _rows(table, row: str, sep: str):
-    """Yield the text of a float table: row % each row's values, sep between rows.
-
-    A 1-D table holds one value per row.  Each chunk of rows is one
-    %-format, which keeps the text held at once small.
-    """
-    table = np.asarray(table, dtype=float)
-    if table.ndim == 1:
-        table = table[:, None]
-    for start in range(0, len(table), _CHUNK):
-        chunk = table[start:start + _CHUNK]
-        text = sep.join([row] * len(chunk)) % tuple(chunk.ravel().tolist())
-        yield sep + text if start else text
-
-
 def _json_array(table) -> str:
     """A 1-D table as a JSON array of numbers, a 2-D one as an array of its rows."""
     table = np.asarray(table, dtype=float)
@@ -152,9 +138,9 @@ def _write_json(fields: dict, path: Path):
     path.write_text("{\n" + body + "\n}\n")
 
 
-def _write_csv(path: Path, header: str, table, first: str = _NUMBER):
-    """The header line, then one line per table row: first formats column 0."""
-    row = first + ("," + _NUMBER) * header.count(",") + "\n"
+def _write_csv(path: Path, header: str, table):
+    """The header line, then one line per table row."""
+    row = _NUMBER + ("," + _NUMBER) * header.count(",") + "\n"
     with path.open("w") as handle:
         handle.write(header + "\n")
         handle.writelines(_rows(table, row, ""))
@@ -270,7 +256,7 @@ def _write_fit(manifest: RunManifest, report):
     """
     outdir = Path(manifest.out)
     outdir.mkdir(parents=True, exist_ok=True)
-    _write_csv(outdir / "history.csv", "epoch,total,l2,ck,strain", report.history, "%d")
+    _write_csv(outdir / "history.csv", "epoch,total,l2,ck,strain", report.history)
     if report.diverged:
         cause = ("loss became non-finite" if report.diverged_segment is None else
                  f"non-finite gradient at segment {report.diverged_segment}, "
@@ -410,8 +396,13 @@ def _cmd_fit(args) -> int:
 
 def _cmd_sweep(args) -> int:
     manifest = _build_manifest(args)
-    raw = (args.lambdas or "").strip()
-    values = [float(part) for part in raw.split(",") if part.strip() != ""]
+    values = []
+    for part in (args.lambdas or "").split(","):
+        if part.strip():
+            try:
+                values.append(float(part))
+            except ValueError:
+                raise ValueError(f"--lambdas: cannot parse {part.strip()!r}") from None
     return sweep(manifest, values)
 
 

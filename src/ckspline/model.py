@@ -246,12 +246,16 @@ def evaluate(model: SplineModel, x, j: int = 0):
 
 
 def _derivative_basis(u, degree, k):
-    """(len(u), k+1, d+1): row j holds d^j/dx^j of each shifted monomial at offset u."""
+    """(len(u), k+1, d+1): row j holds d^j/dx^j of each shifted monomial at offset u.
+
+    One pow per (u, power), gathered per order; the product is C-contiguous,
+    which keeps einsum's summation order over it fixed.
+    """
     j = np.arange(k + 1)[:, None]
     t = np.arange(degree + 1)
     factors = np.array([[math.perm(s, row) for s in range(degree + 1)] for row in range(k + 1)],
                        dtype=float)
-    return factors * u[:, None, None] ** np.maximum(t - j, 0)
+    return factors * (u[:, None] ** t).take(np.maximum(t - j, 0), axis=1)
 
 
 def _boundaries(model: SplineModel, k: int, wrap: bool):

@@ -55,15 +55,17 @@ def _hermite(left_x, left_derivs, right_x, right_derivs, center):
     """Batched two_point_hermite: (S,) intervals and centers, (S, k+1) derivatives.
 
     Each of the S confluent Vandermonde systems keeps its own nodes
-    (x - center) / length, rescaled to unit length; one conditioning check
-    covers the whole stack and one batched LU solve does them all.  Returns
-    (S, 2k+2) coefficients.
+    (x - center) / length, rescaled to unit length.  One system is built and
+    conditioning-checked per bitwise-distinct node pair (at uniform
+    breakpoints every pair is (-1/2, 1/2)); one batched LU solve then does
+    all S on the gathered stack.  Returns (S, 2k+2) coefficients.
     """
     order = left_derivs.shape[1] - 1
     size = 2 * order + 2
     length = right_x - left_x
     nodes = np.stack([left_x - center, right_x - center], axis=1) / length[:, None]
-    system = _derivative_basis(nodes.ravel(), size - 1, order).reshape(-1, size, size)
+    pairs, which = np.unique(nodes.view(np.int64), axis=0, return_inverse=True)
+    system = _derivative_basis(pairs.view(float).ravel(), size - 1, order).reshape(-1, size, size)
     rhs = np.stack([left_derivs, right_derivs], axis=1)
     rhs = rhs * length[:, None, None] ** np.arange(order + 1)
     if (np.linalg.cond(system) > _MAX_CONDITION).any():
@@ -71,7 +73,7 @@ def _hermite(left_x, left_derivs, right_x, right_derivs, center):
             f"Hermite system for order k={order} is too ill-conditioned; "
             "use a smaller k or rescale the segments"
         )
-    solution = np.linalg.solve(system, rhs.reshape(-1, size, 1))[..., 0]
+    solution = np.linalg.solve(system[which.ravel()], rhs.reshape(-1, size, 1))[..., 0]
     return solution / length[:, None] ** np.arange(size)
 
 

@@ -480,6 +480,14 @@ def test_sweep_empty_lambda_list(tmp_path, capsys):
                  "--lambdas", ""]) == 1
 
 
+def test_sweep_unparsable_lambda_names_the_flag(tmp_path, capsys):
+    data = write_line_data(tmp_path / "line.csv")
+    assert main(["sweep", "--input", str(data), "--out", str(tmp_path / "s"),
+                 "--lambdas", "1, x"]) == 1
+    assert capsys.readouterr().err == "error: --lambdas: cannot parse 'x'\n"
+    assert not (tmp_path / "s").exists()
+
+
 def test_sweep_duplicate_lambdas_suffixed(tmp_path):
     data = write_benchmark_data(tmp_path / "bench.csv")
     out = tmp_path / "sweep"

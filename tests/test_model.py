@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -12,6 +14,7 @@ from ckspline import (
     rebase,
     segment_index,
 )
+from ckspline.model import _derivative_basis
 
 from conftest import model_from_global
 
@@ -101,6 +104,20 @@ def test_evaluate_domain_error_vector():
     model = SplineModel.from_breakpoints([0, 1], 1)
     with pytest.raises(DomainError):
         evaluate(model, np.array([0.5, 1.5]))
+
+
+def test_derivative_basis_is_c_ordered_and_matches_per_order_powers():
+    # one pow per (u, power) must give the bits of one pow per (u, order,
+    # power), in a C-ordered array: einsum's summation order over the basis,
+    # and so the last bits of every ck value, follow its memory order
+    u = np.array([-0.5, 0.5, -0.3, 1.7, 0.0, -0.0, 1e-3])
+    for degree, k in [(5, 2), (7, 3), (3, 0), (0, 0)]:
+        j = np.arange(k + 1)[:, None]
+        t = np.arange(degree + 1)
+        factors = np.array([[math.perm(s, row) for s in t] for row in range(k + 1)], dtype=float)
+        basis = _derivative_basis(u, degree, k)
+        assert basis.flags.c_contiguous
+        assert basis.tobytes() == (factors * u[:, None, None] ** np.maximum(t - j, 0)).tobytes()
 
 
 def test_rebase_examples():

@@ -11,7 +11,7 @@ from ckspline import (
     two_point_hermite,
 )
 from ckspline.model import rebase
-from ckspline.repair import ConditioningError
+from ckspline.repair import ConditioningError, _hermite
 
 from conftest import model_from_global
 
@@ -65,6 +65,22 @@ def test_hermite_rejects_bad_interval():
 def test_hermite_conditioning_guard():
     with pytest.raises(ConditioningError):
         two_point_hermite(0.0, np.zeros(14), 1.0, np.ones(14), 0.0)
+
+
+def test_batched_hermite_equals_one_call_per_side_bit_for_bit():
+    # repeated segment lengths: some sides share one Hermite system, some do not
+    rng = np.random.default_rng(5)
+    k = 2
+    lengths = [1.0, 0.5, 1.0, 2.0, 0.5, 1.0, 0.3, 0.3]
+    model = SplineModel.from_breakpoints(np.cumsum([-1.1] + lengths), 2 * k + 1)
+    xi, centers = model.breakpoints, model.centers
+    nodes = np.stack([xi[:-1] - centers, xi[1:] - centers], axis=1) / np.diff(xi)[:, None]
+    assert 1 < len(np.unique(nodes, axis=0)) < len(lengths)
+    left, right = rng.normal(size=(2, len(lengths), k + 1))
+    batched = _hermite(xi[:-1], left, xi[1:], right, centers)
+    for i in range(len(lengths)):
+        one = two_point_hermite(xi[i], left[i], xi[i + 1], right[i], centers[i])
+        assert batched[i].tobytes() == one.tobytes()
 
 
 # ---------------------------------------------------------------- repair
