@@ -25,10 +25,10 @@ Loss values come from the residual form instead (l2 from the sample
 residuals, ck from the jumps at every boundary in one batch, strain from its
 per-segment tables): the expanded form above loses digits when l2 is tiny.
 The training loop therefore takes the residual-form breakdown only at
-record epochs, in one pass over every run of a sweep, and tests each
-epoch's loss for finiteness through the cheap expanded value.  fd_gradient
-differentiates breakdown numerically and so stays an oracle independent of
-the assembled operator.
+record epochs, in one pass over a batch of them for every run of a sweep,
+and tests each epoch's loss for finiteness, a block of epochs at a time,
+through the cheap expanded value.  fd_gradient differentiates breakdown
+numerically and so stays an oracle independent of the assembled operator.
 
 All three terms are evaluated in internal (scaled) coordinates.  Functions
 here are pure; LossEngine only caches tables that depend on breakpoints and
@@ -180,7 +180,7 @@ class _Forms(NamedTuple):
 
     rows holds the (L, m, w, 3w) block rows, neighbours the (m, 3)
     coefficient rows each block row multiplies, linear and constant the
-    (L, m, w) and (L,) stacks.  Both methods take an (L, m, w) coefficient
+    (L, m, w) and (L,) stacks.  The methods take an (L, m, w) coefficient
     stack, one row per lam in order.  gradients() is one stacked matmul,
     which makes the same BLAS call with the same strides for every (run,
     segment) item, so a run's gradient is the same bits whatever it is
@@ -196,17 +196,24 @@ class _Forms(NamedTuple):
         gathered = coeffs.take(self.neighbours, axis=1).reshape(*coeffs.shape[:2], -1, 1)
         return (self.rows @ gathered)[..., 0] - self.linear
 
-    def expanded_totals(self, coeffs: np.ndarray, grads: np.ndarray) -> np.ndarray:
-        """total = 0.5*c.g - 0.5*linear.c + constant for each run, g the gradient at c.
+    def dot_products(self, coeffs: np.ndarray, grads: np.ndarray, out: np.ndarray) -> None:
+        """Write g.c and linear.c of each run into out[0] and out[1], each (L, 1, 1).
 
-        Reads the value off the gradient, without the residuals.  Costs two
-        dot products per run, but carries absolute rounding error on the
-        scale of the constant term: a finiteness test, not a loss value.
+        g is the gradient at c.  The training loop buffers these two dot
+        products per epoch and reads the expanded totals off a block of them
+        at once.
         """
         c = coeffs.reshape(len(coeffs), -1, 1)
-        g = grads.reshape(len(coeffs), 1, -1)
-        lin = self.linear.reshape(len(coeffs), 1, -1)
-        return 0.5 * (g @ c - lin @ c)[:, 0, 0] + self.constant
+        np.matmul(grads.reshape(len(coeffs), 1, -1), c, out=out[0])
+        np.matmul(self.linear.reshape(len(coeffs), 1, -1), c, out=out[1])
+
+    def totals(self, products: np.ndarray) -> np.ndarray:
+        """total = 0.5*c.g - 0.5*linear.c + constant from (..., 2, L, 1, 1) dot_products.
+
+        Carries absolute rounding error on the scale of the constant term: a
+        finiteness test, not a loss value.
+        """
+        return 0.5 * (products[..., 0, :, 0, 0] - products[..., 1, :, 0, 0]) + self.constant
 
 
 class LossEngine:

@@ -76,7 +76,7 @@ class SampleSet:
             raise ValueError("need at least 2 samples")
         if not (np.isfinite(xs).all() and np.isfinite(ys).all()):
             raise ValueError("samples must be finite")
-        if np.any(np.diff(xs) < 0.0):
+        if np.any(xs[1:] < xs[:-1]):
             raise ValueError("sample abscissae must be sorted non-decreasing")
 
     def __len__(self) -> int:

@@ -2,10 +2,11 @@
 
 Each epoch takes the blended loss's analytic gradient, optionally the
 degree-based gradient regularization, and one optimizer update, for every
-lambda of a sweep at once; exact loss values are computed only at record
-epochs, in one pass over all lambdas.  Runs are deterministic; divergence
-(non-finite loss or gradient) stops a run early and is reported, not
-raised.
+lambda of a sweep at once.  The loss is tested for finiteness once per
+block of epochs, and exact loss values are computed for a batch of record
+epochs at a time, in one pass over all lambdas.  Runs are deterministic;
+divergence (non-finite loss or gradient) stops a run early and is reported,
+not raised.
 """
 
 from __future__ import annotations
@@ -36,6 +37,11 @@ __all__ = [
 REGULARIZATIONS = ("none", "degree_based")
 INITS = ("zeros", "least_squares")
 SCALINGS = ("none", "unit_segments")
+# fit_sweep tests a block of at most _BLOCK epochs for finiteness at once,
+# and sizes its record batches so that _breakdowns gathers at most about
+# _RECORD_BYTES of sample tables
+_BLOCK = 32
+_RECORD_BYTES = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -127,6 +133,8 @@ def make_scaled_problem(samples: SampleSet, segments: int, degree: int,
     lo, hi = float(samples.xs[0]), float(samples.xs[-1])
     if hi == lo:
         raise ValueError(f"degenerate domain: all sample abscissae equal {lo}")
+    if not math.isfinite(hi - lo):
+        raise ValueError(f"sample range [{lo!r}, {hi!r}] is wider than a double can hold")
     if scaling == "unit_segments":
         a = segments / (hi - lo)
         domain_map = DomainMap(a, -a * lo)
@@ -183,11 +191,11 @@ def fit(samples: SampleSet, config: TrainConfig) -> TrainingReport:
     """Run the training loop for exactly config.epochs iterations.
 
     The one-run case of fit_sweep, at config.loss.lam.  Every epoch takes
-    the gradient from the engine's precomputed operator and tests the loss
-    for finiteness through the expanded value read off that gradient.  The
-    exact residual-form breakdown runs only at record epochs (every
-    record_every epochs) and once after the final update; recorded rows
-    always satisfy the loss-blend identity.
+    the gradient from the engine's precomputed operator, and every epoch's
+    loss is tested for finiteness through the expanded value read off that
+    gradient.  The exact residual-form breakdown is taken only at record
+    epochs (every record_every epochs) and once after the final update;
+    recorded rows always satisfy the loss-blend identity.
     """
     return fit_sweep(samples, config, [config.loss.lam])[0]
 
@@ -197,18 +205,28 @@ def fit_sweep(samples: SampleSet, config: TrainConfig, lambdas) -> list[Training
 
     The runs share everything but lam: validation, the scaled problem, the
     initial coefficients and one LossEngine are set up once.  The engine
-    assembles the quadratic forms of all L runs in one pass; each epoch
-    takes one stacked gradient, one finiteness test and one optimizer update
-    over an (L, m, d+1) coefficient stack.  The update is the unchecked
-    _update, since the finiteness test has already run; each record epoch
-    is one residual-form pass over the whole stack.  The update is
-    elementwise, the stacked gradient is one matmul that treats every
-    (run, segment) block as a single run's, and the record pass gives each
-    run the bits of its own breakdown(), so each report is bit-identical to
-    fit() at that lam.  A run that diverges records where and saves a copy
-    of its coefficients; it then stays in the stack, frozen: its gradient
-    rows are zero and it is out of the finiteness test.  Reports come in
-    the order of lambdas and own their models.
+    assembles the quadratic forms of all L runs in one pass.  Each epoch
+    takes one stacked gradient, writes each run's two dot products for the
+    expanded value, and makes one unchecked _update, all over an (L, m, d+1)
+    coefficient stack.  The update is elementwise and the stacked gradient
+    is one matmul that treats every (run, segment) block as a single run's,
+    so a run's bits do not depend on the others.
+
+    The finiteness test runs once per block of at most _BLOCK epochs, over
+    the buffered dot products of the live runs.  If a run failed, the stack
+    and the optimizer state go back to the block's start and the block is
+    replayed through the same epoch loop, which freezes each failed run at
+    its first bad epoch with a copy of its coefficients and its first
+    non-finite gradient entry.  Record epochs copy the stack into a batch,
+    and one _breakdowns pass per full batch gives each run the bits of its
+    own breakdown().  A non-finite recorded total freezes its run at that
+    epoch with the copy, which wins over any later freeze.
+
+    A frozen run stays in the stack and keeps training, out of the tests and
+    the records.  Its report uses only its saved copy and the rows recorded
+    before it froze, so its later values are never seen, and each report is
+    bit-identical to fit() at that lam and to a per-epoch loop.  Reports
+    come in the order of lambdas and own their models.
     """
     lambdas = list(lambdas)
     if not lambdas:
@@ -241,21 +259,61 @@ def fit_sweep(samples: SampleSet, config: TrainConfig, lambdas) -> list[Training
     divergences: list[tuple[int, tuple[int, int] | None] | None] = [None] * len(lambdas)
     saved: dict[int, np.ndarray] = {}  # the coefficients of each run where it diverged
     frozen: list[int] = []  # the diverged runs, which stay in the stack
+    # the stack and the optimizer's arrays at the start of the block, for a replay
+    slots = [stack] + [a for a in vars(state).values() if isinstance(a, np.ndarray)]
+    snapshot = [a.copy() for a in slots]
+    # each epoch's g.c and linear.c, tested for finiteness once per block
+    products = np.empty((_BLOCK, 2, len(lambdas), 1, 1))
+    # the stacks of the record epochs not yet passed to _breakdowns, at most
+    # batch of them, so that the pass's gathered sample tables stay small
+    per_record = len(lambdas) * max(len(samples), config.segments) * (config.degree + 1) * 8
+    batch = max(1, _RECORD_BYTES // per_record)
+    records = np.empty((batch,) + stack.shape)
+    record_epochs: list[int] = []
+    every = config.record_every
 
-    def freeze(run, epoch, location):
-        divergences[run] = (epoch, location)
-        saved[run] = stack[run].copy()
-        frozen.append(run)
+    def freeze(run, epoch, location, coeffs):
+        """Stop run at epoch, keeping coeffs, unless it stopped earlier already."""
+        if divergences[run] is None or epoch < divergences[run][0]:
+            divergences[run] = (epoch, location)
+            saved[run] = coeffs.copy()
+        if run not in frozen:
+            frozen.append(run)
 
-    def record(epoch):
-        """Append each live run's history row, or freeze the run if its total is non-finite."""
-        for run, row in enumerate(engine._breakdowns(stack, lambdas)):
-            if divergences[run] is not None:
-                continue
-            if math.isfinite(row[0]):
-                histories[run].append(HistoryRow(epoch, *row))
-            else:
-                freeze(run, epoch, None)
+    def run_block(start, stop, due):
+        """Epochs start..stop-1, each one gradient, its dot products and one update.
+
+        The runs in due[epoch] are frozen at that epoch; the block stops
+        there if that leaves no run live.
+        """
+        for row, epoch in enumerate(range(start, stop)):
+            grads = form.gradients(stack)
+            form.dot_products(stack, grads, products[row])
+            for run in due.get(epoch, ()):
+                freeze(run, epoch, _first_non_finite(grads[run]), stack[run])
+            if len(frozen) == len(lambdas):
+                return
+            if epoch % every == 0:
+                records[len(record_epochs)] = stack
+                record_epochs.append(epoch)
+            if reg is not None:
+                grads *= reg
+            _update(state, config.optimizer, stack, grads)
+
+    def record():
+        """Append the buffered epochs' history rows; a non-finite total freezes its run."""
+        count = len(record_epochs)
+        rows = engine._breakdowns(records[:count].reshape(-1, *stack.shape[1:]),
+                                  lambdas * count)
+        for i, epoch in enumerate(record_epochs):
+            for run, row in enumerate(rows[i * len(lambdas):(i + 1) * len(lambdas)]):
+                if divergences[run] is not None and divergences[run][0] <= epoch:
+                    continue
+                if math.isfinite(row[0]):
+                    histories[run].append(HistoryRow(epoch, *row))
+                else:
+                    freeze(run, epoch, None, records[i, run])
+        record_epochs.clear()
 
     # divergence is detected via isfinite checks, so silence the transient
     # overflow warnings a runaway run (or data near the float limit, in the
@@ -263,27 +321,34 @@ def fit_sweep(samples: SampleSet, config: TrainConfig, lambdas) -> list[Training
     with np.errstate(over="ignore", invalid="ignore"):
         engine = LossEngine(template, samples, loss_cfg)
         form = engine._forms(lambdas)
-        for epoch in range(config.epochs):
-            grads = form.gradients(stack)
-            # the expanded value is non-finite whenever the gradient is
-            finite = np.isfinite(form.expanded_totals(stack, grads))
-            if frozen:
-                finite[frozen] = True
-            recording = epoch % config.record_every == 0
-            if recording or not finite.all():
-                for run in np.flatnonzero(~finite).tolist():
-                    freeze(run, epoch, _first_non_finite(grads[run]))
-                if recording:
-                    record(epoch)
-                if len(frozen) == len(lambdas):
-                    break
-            if frozen:
-                grads[frozen] = 0.0
-            if reg is not None:
-                grads *= reg
-            _update(state, config.optimizer, stack, grads)
+        start = 0
+        while start < config.epochs and len(frozen) < len(lambdas):
+            # the block ends at the latest at the record epoch that fills the batch
+            filling = start + (-start) % every + (batch - len(record_epochs) - 1) * every
+            stop = min(start + _BLOCK, config.epochs, filling + 1)
+            for dst, src in zip(snapshot, slots):
+                np.copyto(dst, src)
+            step_count, recorded = state.step_count, len(record_epochs)
+            run_block(start, stop, {})
+            bad = ~np.isfinite(form.totals(products[:stop - start]))
+            bad[:, frozen] = False
+            if bad.any():
+                # replay the block from its start, freezing each run at its first bad epoch
+                due: dict[int, list[int]] = {}
+                for run in np.flatnonzero(bad.any(axis=0)).tolist():
+                    due.setdefault(start + int(bad[:, run].argmax()), []).append(run)
+                for dst, src in zip(slots, snapshot):
+                    np.copyto(dst, src)
+                state.step_count = step_count
+                del record_epochs[recorded:]
+                run_block(start, stop, due)
+            if len(record_epochs) == batch:
+                record()
+            start = stop
         if len(frozen) < len(lambdas):
-            record(config.epochs)
+            records[len(record_epochs)] = stack
+            record_epochs.append(config.epochs)
+        record()
 
     reports = []
     for run, (history, divergence) in enumerate(zip(histories, divergences)):

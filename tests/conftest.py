@@ -1,7 +1,21 @@
+import math
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from ckspline import SampleSet, SplineModel
+from ckspline import (
+    HistoryRow,
+    LossEngine,
+    SampleSet,
+    SplineModel,
+    apply_regularization,
+    init_state,
+    least_squares_init,
+    make_scaled_problem,
+    regularization_vector,
+    step,
+)
 from ckspline.model import rebase
 
 
@@ -32,3 +46,42 @@ def model_from_global(breakpoints, degree, global_coeffs, domain_map=None):
         rows.append(rebase(padded, 0.0, center))
     kwargs = {} if domain_map is None else {"domain_map": domain_map}
     return SplineModel.from_breakpoints(breakpoints, degree, np.array(rows), **kwargs)
+
+
+def reference_fit(samples, config, lam):
+    """fit() at lam as a plain loop of public calls, one run, nothing stacked.
+
+    Returns the history, the final coefficients and the divergence epoch,
+    segment and power.  A run diverges at the first epoch whose expanded
+    loss value (read off the gradient) or recorded total is not finite.
+    """
+    model, _ = make_scaled_problem(samples, config.segments, config.degree, config.scaling)
+    if config.init == "least_squares":
+        model = least_squares_init(model, samples)
+    engine = LossEngine(model, samples, replace(config.loss, lam=lam))
+    coeffs, linear = model.coefficients, engine.linear.ravel()
+    state = init_state(config.optimizer, coeffs.shape)
+    history = []
+
+    def recorded(epoch):
+        loss = engine.breakdown()
+        if math.isfinite(loss.total):
+            history.append(HistoryRow(epoch, loss.total, loss.l2, loss.ck, loss.strain))
+        return math.isfinite(loss.total)
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(config.epochs):
+            grads = engine.gradient()
+            value = 0.5 * (grads.ravel() @ coeffs.ravel() - linear @ coeffs.ravel())
+            if not math.isfinite(value + engine.constant):
+                bad = np.argwhere(~np.isfinite(grads))
+                segment, power = (int(bad[0, 0]) + 1, int(bad[0, 1])) if len(bad) else (None, None)
+                return history, coeffs, (epoch, segment, power)
+            if epoch % config.record_every == 0 and not recorded(epoch):
+                return history, coeffs, (epoch, None, None)
+            if config.regularization == "degree_based":
+                grads = apply_regularization(grads, regularization_vector(config.degree))
+            step(state, config.optimizer, coeffs, grads)
+        if not recorded(config.epochs):
+            return history, coeffs, (config.epochs, None, None)
+    return history, coeffs, (None, None, None)

@@ -234,6 +234,18 @@ def test_fit_command_ill_conditioned_repair_is_config_error(tmp_path, capsys):
     assert err.count("\n") == 1
 
 
+def test_fit_command_sample_range_wider_than_a_double_is_config_error(tmp_path, capsys):
+    # the range's width overflows; it used to warn from the sortedness check
+    # and then blame the domain map
+    data = tmp_path / "wide.csv"
+    data.write_text("x,y\n-1e308,0\n1e308,1\n")
+    out = tmp_path / "run"
+    assert main(["fit", "--input", str(data), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        "error: sample range [-1e+308, 1e+308] is wider than a double can hold\n")
+    assert not out.exists()
+
+
 def test_eval_malformed_model_is_config_error(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text('{"degree": 3}\n')

@@ -6,6 +6,9 @@ check the assembled operator against the finite-difference oracle and the
 residual-form values against their definitions.  The repair and evaluation
 examples draw non-uniform breakpoints and a domain map (a < 0 included), and
 check the batched code against one eval_segment call per boundary or point.
+The sweep examples check fit_sweep against separate fits and against
+reference_fit, a plain loop of public calls that tests and records epoch by
+epoch.
 """
 
 import warnings
@@ -39,6 +42,8 @@ from ckspline.losses import BOUNDARY_MODES
 from ckspline.model import eval_segment
 from ckspline.optimizers import OPTIMIZER_KINDS
 from ckspline.training import INITS, REGULARIZATIONS, SCALINGS
+
+from conftest import reference_fit
 
 
 @st.composite
@@ -105,7 +110,9 @@ def test_breakdown_blend_identity(problem):
     # with the residual form up to rounding on the scale of its largest term
     scale = 1.0 + engine.constant + bd.total
     form, coeffs = engine._forms([config.lam]), model.coefficients[None]
-    expanded = form.expanded_totals(coeffs, form.gradients(coeffs))[0]
+    products = np.empty((2, 1, 1, 1))
+    form.dot_products(coeffs, form.gradients(coeffs), products)
+    expanded = form.totals(products)[0]
     assert expanded == pytest.approx(bd.total, abs=1e-9 * scale)
 
 
@@ -286,29 +293,31 @@ def test_evaluate_chain_rule_against_central_difference(model, j, segment, fract
 
 
 @st.composite
-def sweeps(draw):
+def sweeps(draw, kinds=st.sampled_from(OPTIMIZER_KINDS),
+           rates=st.sampled_from([1e-3, 0.05, 0.5, 5.0]), max_epochs=60, max_record_every=9,
+           scales=st.integers(-2, 2)):
     """A training problem with a random lambda list, duplicates allowed."""
     degree = draw(st.integers(0, 6))
-    kind = draw(st.sampled_from(OPTIMIZER_KINDS))
+    kind = draw(kinds)
     momentum = draw(st.sampled_from([0.0, 0.9])) if kind == "sgd" else 0.0
-    optimizer = OptimizerConfig(kind, draw(st.sampled_from([1e-3, 0.05, 0.5, 5.0])),
+    optimizer = OptimizerConfig(kind, draw(rates),
                                 momentum=momentum, nesterov=momentum > 0 and draw(st.booleans()))
     config = TrainConfig(
-        segments=draw(st.integers(1, 6)), degree=degree, epochs=draw(st.integers(0, 60)),
+        segments=draw(st.integers(1, 6)), degree=degree, epochs=draw(st.integers(0, max_epochs)),
         loss=LossConfig(k=draw(st.integers(0, degree)),
                         boundary_mode=draw(st.sampled_from(BOUNDARY_MODES)),
                         strain_weight=draw(st.sampled_from([0.0, 1e-2]))),
         optimizer=optimizer,
         regularization=draw(st.sampled_from(REGULARIZATIONS)),
         init=draw(st.sampled_from(INITS)), scaling=draw(st.sampled_from(SCALINGS)),
-        record_every=draw(st.integers(1, 9)),
+        record_every=draw(st.integers(1, max_record_every)),
     )
     lam = st.sampled_from([0.0, 0.5, 1.0]) | st.floats(0.0, 1.0)
     lambdas = draw(st.lists(lam, min_size=1, max_size=5))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     n = draw(st.integers(2, 40))
     xs = np.sort(np.concatenate([[0.0, 1.0], rng.uniform(0.0, 1.0, n - 2)])) * 3.0
-    return SampleSet(xs, rng.normal(size=n) * 10.0 ** draw(st.integers(-2, 2))), config, lambdas
+    return SampleSet(xs, rng.normal(size=n) * 10.0 ** draw(scales)), config, lambdas
 
 
 @PROPERTY
@@ -327,3 +336,21 @@ def test_fit_sweep_equals_sequential_fits_bit_for_bit(sweep):
                 report.rank_deficient_segments) == (
                 solo.diverged_epoch, solo.diverged_segment, solo.diverged_power,
                 solo.rank_deficient_segments)
+
+
+@PROPERTY
+@given(sweeps(kinds=st.just("sgd") | st.sampled_from(OPTIMIZER_KINDS),
+              rates=st.sampled_from([0.5, 5.0]) | st.floats(1e-3, 5.0), max_epochs=120,
+              max_record_every=40, scales=st.sampled_from([-2, 0, 2, 100, 150, 153])))
+def test_fit_sweep_equals_reference_fit(sweep):
+    # sgd at large rates and targets makes runs diverge anywhere in a block of
+    # the stacked loop's finiteness test, on record epochs and off them
+    samples, config, lambdas = sweep
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # degree below 2k+1
+        swept = fit_sweep(samples, config, lambdas)
+        references = [reference_fit(samples, config, lam) for lam in lambdas]
+    for report, (history, coeffs, divergence) in zip(swept, references, strict=True):
+        assert report.history == history
+        assert report.final_model.coefficients.tobytes() == coeffs.tobytes()
+        assert (report.diverged_epoch, report.diverged_segment, report.diverged_power) == divergence

@@ -1,4 +1,4 @@
-import math
+import tracemalloc
 import zlib
 from dataclasses import replace
 
@@ -8,7 +8,6 @@ from numpy.testing import assert_allclose
 
 from ckspline import (
     DomainMap,
-    HistoryRow,
     LossConfig,
     LossEngine,
     OptimizerConfig,
@@ -18,14 +17,14 @@ from ckspline import (
     evaluate,
     fit,
     fit_sweep,
-    init_state,
     least_squares_init,
     make_scaled_problem,
     regularization_vector,
-    step,
 )
 from ckspline.losses import _sample_tables
-from ckspline.training import _least_squares_coefficients
+from ckspline.training import _BLOCK, _least_squares_coefficients
+
+from conftest import reference_fit
 
 
 def line_samples(n=21):
@@ -93,6 +92,13 @@ def test_make_scaled_problem_raw_interval():
 def test_make_scaled_problem_degenerate_domain():
     with pytest.raises(ValueError, match="degenerate"):
         make_scaled_problem(SampleSet([3.0, 3.0], [1.0, 2.0]), 2, 1)
+
+
+@pytest.mark.parametrize("scaling", ["unit_segments", "none"])
+def test_make_scaled_problem_range_wider_than_a_double(scaling):
+    samples = SampleSet([-1e308, 0.0, 1e308], [0.0, 1.0, 2.0])
+    with pytest.raises(ValueError, match=r"sample range \[-1e\+308, 1e\+308\]"):
+        make_scaled_problem(samples, 4, 3, scaling)
 
 
 # ------------------------------------------------ least squares init
@@ -324,8 +330,8 @@ def test_fit_sweep_matches_sequential_fits_bit_for_bit(optimizer, mode):
 def test_fit_sweep_middle_divergence_leaves_the_others_unchanged():
     xs = np.linspace(0, 16, 128)
     samples = SampleSet(xs, np.sin(2 * np.pi * xs / 16) + 0.5 * np.sin(4 * np.pi * xs / 16))
-    # with momentum a frozen run's row keeps moving, and without its zeroed
-    # gradient it would reach a non-finite one before the last epoch
+    # a frozen run's row keeps training and goes non-finite before the last
+    # epoch; it must stay out of the finiteness tests and the record passes
     config = TrainConfig(segments=8, degree=5, epochs=400, loss=LossConfig(lam=0.5, k=2),
                          optimizer=OptimizerConfig("sgd", 1.0, momentum=0.5))
     lambdas = [1.0, 0.5, 0.25, 0.0]
@@ -347,45 +353,6 @@ def test_fit_sweep_located_divergence_matches_fit():
     for report, solo in zip(swept, solo_fits(samples, config, [1.0, 0.5]), strict=True):
         assert report.diverged_epoch == 0 and report.diverged_segment is not None
         assert same_report(report, solo)
-
-
-def reference_fit(samples, config, lam):
-    """fit() at lam as a plain loop of public calls, one run, nothing stacked.
-
-    Returns the history, the final coefficients and the divergence epoch,
-    segment and power.  A run diverges at the first epoch whose expanded
-    loss value (read off the gradient) or recorded total is not finite.
-    """
-    model, _ = make_scaled_problem(samples, config.segments, config.degree, config.scaling)
-    if config.init == "least_squares":
-        model = least_squares_init(model, samples)
-    engine = LossEngine(model, samples, replace(config.loss, lam=lam))
-    coeffs, linear = model.coefficients, engine.linear.ravel()
-    state = init_state(config.optimizer, coeffs.shape)
-    history = []
-
-    def recorded(epoch):
-        loss = engine.breakdown()
-        if math.isfinite(loss.total):
-            history.append(HistoryRow(epoch, loss.total, loss.l2, loss.ck, loss.strain))
-        return math.isfinite(loss.total)
-
-    with np.errstate(over="ignore", invalid="ignore"):
-        for epoch in range(config.epochs):
-            grads = engine.gradient()
-            value = 0.5 * (grads.ravel() @ coeffs.ravel() - linear @ coeffs.ravel())
-            if not math.isfinite(value + engine.constant):
-                bad = np.argwhere(~np.isfinite(grads))
-                segment, power = (int(bad[0, 0]) + 1, int(bad[0, 1])) if len(bad) else (None, None)
-                return history, coeffs, (epoch, segment, power)
-            if epoch % config.record_every == 0 and not recorded(epoch):
-                return history, coeffs, (epoch, None, None)
-            if config.regularization == "degree_based":
-                grads = apply_regularization(grads, regularization_vector(config.degree))
-            step(state, config.optimizer, coeffs, grads)
-        if not recorded(config.epochs):
-            return history, coeffs, (config.epochs, None, None)
-    return history, coeffs, (None, None, None)
 
 
 @pytest.mark.parametrize("regularization", ["none", "degree_based"])
@@ -419,6 +386,151 @@ def test_fit_sweep_equals_a_plain_loop_of_public_calls(optimizer, regularization
         assert (report.diverged_epoch, report.diverged_segment, report.diverged_power) == divergence
     diverging = optimizer.learning_rate == 1.0 and regularization == "none"
     assert any(r.diverged for r in swept) == diverging
+
+
+def assert_matches_reference(samples, config, lambdas):
+    """fit_sweep's reports against reference_fit, run by run; returns the reports."""
+    swept = fit_sweep(samples, config, lambdas)
+    for report, lam in zip(swept, lambdas, strict=True):
+        history, coeffs, divergence = reference_fit(samples, config, lam)
+        assert report.history == history
+        assert report.final_model.coefficients.tobytes() == coeffs.tobytes()
+        assert (report.diverged_epoch, report.diverged_segment, report.diverged_power) == divergence
+        assert report.diverged == (divergence[0] is not None)
+    return swept
+
+
+def record_epoch_divergence(record_every):
+    xs = np.linspace(0, 16, 64)
+    config = TrainConfig(segments=8, degree=5, epochs=400,
+                         loss=LossConfig(lam=0.5, k=0, boundary_mode="periodic"),
+                         optimizer=OptimizerConfig("sgd", 3.0), record_every=record_every)
+    return SampleSet(xs, np.sin(xs)), config
+
+
+@pytest.mark.parametrize("record_every, epoch", [(9, 279), (10, 280)])
+def test_fit_sweep_divergence_on_a_record_epoch(record_every, epoch):
+    # the recorded total at epoch 279 (a multiple of 9) overflows one epoch
+    # before the expanded value does; a record epoch freezes the run at the
+    # stack it recorded, even when its block tests clean until later
+    samples, config = record_epoch_divergence(record_every)
+    [report] = assert_matches_reference(samples, config, [0.5])
+    assert (report.diverged_epoch, report.diverged_segment, report.diverged_power) == (
+        epoch, None, None)
+    assert report.history[-1].epoch == 270
+
+
+def test_fit_sweep_expanded_test_wins_over_a_finite_record():
+    # sum(y**2) overflows the expanded value's constant term while the
+    # least-squares residuals stay small: epoch 0's test freezes the runs,
+    # and its record pass, finite, adds no row for them
+    xs = np.linspace(0, 16, 64)
+    samples = SampleSet(xs, 1e154 * (1 + xs / 16))
+    config = TrainConfig(segments=8, degree=1, epochs=10, loss=LossConfig(k=0),
+                         optimizer=OptimizerConfig("sgd", 0.1), init="least_squares")
+    with np.errstate(over="ignore"):  # reference_fit's engine assembles the constant
+        swept = assert_matches_reference(samples, config, [1.0, 0.5])
+    assert all(r.diverged_epoch == 0 and r.history == [] for r in swept)
+
+
+def test_fit_sweep_expanded_test_wins_on_a_record_epoch_with_a_live_run():
+    # lambda 1's expanded value overflows at epoch 127 while its recorded
+    # total there is still finite; the run gets no row at 127, and lambda 0
+    # records on
+    xs = np.linspace(0, 1, 97)
+    config = TrainConfig(segments=3, degree=3, epochs=200,
+                         loss=LossConfig(k=3, boundary_mode="cyclic", strain_weight=1.0),
+                         optimizer=OptimizerConfig("sgd", 2.2), record_every=1)
+    with pytest.warns(UserWarning, match="repair"):
+        swept = assert_matches_reference(SampleSet(xs, np.sin(3 * xs)), config, [1.0, 0.0])
+    assert [r.diverged_epoch for r in swept] == [127, None]
+    assert swept[0].history[-1].epoch == 126
+
+
+def test_fit_sweep_every_run_diverges():
+    xs = np.linspace(0, 16, 64)
+    samples = SampleSet(xs, np.sin(xs))
+    config = TrainConfig(segments=8, degree=5, epochs=600, loss=LossConfig(k=2),
+                         optimizer=OptimizerConfig("sgd", 10.0), record_every=3)
+    swept = assert_matches_reference(samples, config, [1.0, 0.6, 0.3, 0.1])
+    assert all(r.diverged for r in swept)
+    assert len({r.diverged_epoch for r in swept}) > 1
+
+
+@pytest.mark.parametrize("kind", ["adam", "adamax", "amsgrad"])
+def test_fit_sweep_replay_restores_the_optimizer_state(kind):
+    # at this rate every lambda but 1 diverges at epoch 1; the block is
+    # replayed from its start, and the surviving run's bias correction must
+    # count each epoch once
+    xs = np.linspace(0, 16, 64)
+    config = TrainConfig(segments=8, degree=5, epochs=100, loss=LossConfig(k=2),
+                         optimizer=OptimizerConfig(kind, 1e153), init="least_squares")
+    swept = assert_matches_reference(SampleSet(xs, np.sin(xs)), config, [1.0, 0.5, 0.0])
+    assert [r.diverged_epoch for r in swept] == [None, 1, 1]
+
+
+def test_fit_sweep_zero_epochs_records_the_start_only():
+    config = replace(sgd_config(2, 0), init="least_squares")
+    swept = assert_matches_reference(line_samples(), config, [1.0, 0.0])
+    assert [[row.epoch for row in r.history] for r in swept] == [[0], [0]]
+
+
+@pytest.mark.parametrize("epochs", [_BLOCK - 1, _BLOCK + 1, 3 * _BLOCK + 5])
+@pytest.mark.parametrize("record_every", [1, 4, _BLOCK, 2 * _BLOCK + 3])
+def test_fit_sweep_epochs_not_a_multiple_of_the_block(epochs, record_every):
+    # the runs diverge at epochs 27, 28, 30 and 42, inside the first and the
+    # second block; lambda 0 stays at its zero start
+    xs = np.linspace(0, 16, 64)
+    samples = SampleSet(xs, 1e100 * np.sin(xs))
+    config = TrainConfig(segments=8, degree=5, epochs=epochs, loss=LossConfig(k=2),
+                         optimizer=OptimizerConfig("sgd", 10.0), record_every=record_every)
+    swept = assert_matches_reference(samples, config, [1.0, 0.5, 0.25, 0.1, 0.0])
+    assert sum(r.diverged for r in swept) == (3 if epochs < 42 else 4)
+    assert swept[-1].history[-1].epoch == epochs
+
+
+def test_fit_sweep_record_every_beyond_epochs():
+    config = replace(sgd_config(1, 25), record_every=100)
+    swept = assert_matches_reference(line_samples(), config, [1.0, 0.5])
+    assert [[row.epoch for row in r.history] for r in swept] == [[0, 25], [0, 25]]
+
+
+@pytest.mark.parametrize("batch", [1, 3, 8, 40])
+def test_breakdowns_of_a_batch_of_stacks_equal_each_runs_breakdown(batch):
+    # the record pass stacks several record epochs' (L, m, d+1) stacks into
+    # one (batch * L) stack; each row keeps the bits of its run's breakdown()
+    rng = np.random.default_rng(batch)
+    xs = np.sort(rng.uniform(0, 16, 128))
+    samples = SampleSet(xs, np.sin(xs))
+    model, _ = make_scaled_problem(samples, 8, 5)
+    config = LossConfig(k=2, boundary_mode="periodic", strain_weight=0.01)
+    lambdas = [1.0, 0.75, 0.5, 0.25, 0.0]
+    stack = rng.normal(size=(batch * len(lambdas),) + model.coefficients.shape)
+    rows = LossEngine(model, samples, config)._breakdowns(stack, lambdas * batch)
+    for row, coeffs, lam in zip(rows, stack, lambdas * batch, strict=True):
+        model.coefficients[:] = coeffs
+        solo = LossEngine(model, samples, replace(config, lam=lam)).breakdown()
+        assert row == (solo.total, solo.l2, solo.ck, solo.strain)
+
+
+def test_fit_sweep_buffers_do_not_grow_with_record_every():
+    # the record batch and the block buffers have fixed sizes: recording
+    # rarely must not cost more memory than recording often
+    xs = np.linspace(0, 16, 128)
+    samples = SampleSet(xs, np.sin(xs))
+    peaks = {}
+    for record_every in (10, 10**6):
+        config = TrainConfig(segments=8, degree=5, epochs=500, loss=LossConfig(k=2),
+                             optimizer=OptimizerConfig("amsgrad", 0.1),
+                             record_every=record_every)
+        fit_sweep(samples, config, [1.0, 0.5, 0.0])  # warm caches outside the trace
+        tracemalloc.start()
+        try:
+            fit_sweep(samples, config, [1.0, 0.5, 0.0])
+            peaks[record_every] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peaks[10**6] <= peaks[10] + 16 * 1024
 
 
 def test_fit_sweep_validates_once_before_training():
