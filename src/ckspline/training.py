@@ -2,11 +2,11 @@
 
 Each epoch takes the blended loss's analytic gradient, optionally the
 degree-based gradient regularization, and one optimizer update, for every
-lambda of a sweep at once.  The loss is tested for finiteness once per
-block of epochs, and exact loss values are computed for a batch of record
-epochs at a time, in one pass over all lambdas.  Runs are deterministic;
-divergence (non-finite loss or gradient) stops a run early and is reported,
-not raised.
+lambda of a sweep at once, and keeps a copy of the coefficients it started
+from.  After a block of epochs the loss is tested for finiteness, and the
+exact loss values of the block's record epochs are computed from those
+copies for all lambdas at once.  Runs are deterministic; divergence
+(non-finite loss or gradient) stops a run early and is reported, not raised.
 """
 
 from __future__ import annotations
@@ -37,10 +37,10 @@ __all__ = [
 REGULARIZATIONS = ("none", "degree_based")
 INITS = ("zeros", "least_squares")
 SCALINGS = ("none", "unit_segments")
-# fit_sweep tests a block of at most _BLOCK epochs for finiteness at once,
-# and sizes its record batches so that _breakdowns gathers at most about
-# _RECORD_BYTES of sample tables
-_BLOCK = 32
+# fit_sweep keeps the stacks of a block of at most _BLOCK epochs, in at most
+# about _RECORD_BYTES, and records them in passes whose gathered sample
+# tables stay within about _RECORD_BYTES too
+_BLOCK = 80
 _RECORD_BYTES = 1 << 18
 
 
@@ -206,21 +206,20 @@ def fit_sweep(samples: SampleSet, config: TrainConfig, lambdas) -> list[Training
     The runs share everything but lam: validation, the scaled problem, the
     initial coefficients and one LossEngine are set up once.  The engine
     assembles the quadratic forms of all L runs in one pass.  Each epoch
-    takes one stacked gradient, writes each run's two dot products for the
-    expanded value, and makes one unchecked _update, all over an (L, m, d+1)
-    coefficient stack.  The update is elementwise and the stacked gradient
-    is one matmul that treats every (run, segment) block as a single run's,
-    so a run's bits do not depend on the others.
+    copies the (L, m, d+1) coefficient stack into a ring, takes one stacked
+    gradient, writes each run's two dot products for the expanded value, and
+    makes one unchecked _update.  The update is elementwise and the stacked
+    gradient is one matmul that treats every (run, segment) block as a single
+    run's, so a run's bits do not depend on the others.
 
-    The finiteness test runs once per block of at most _BLOCK epochs, over
-    the buffered dot products of the live runs.  If a run failed, the stack
-    and the optimizer state go back to the block's start and the block is
-    replayed through the same epoch loop, which freezes each failed run at
-    its first bad epoch with a copy of its coefficients and its first
-    non-finite gradient entry.  Record epochs copy the stack into a batch,
-    and one _breakdowns pass per full batch gives each run the bits of its
-    own breakdown().  A non-finite recorded total freezes its run at that
-    epoch with the copy, which wins over any later freeze.
+    The ring holds the stack at each epoch of a block of at most _BLOCK
+    epochs.  After the block, one finiteness test over the buffered dot
+    products freezes each live run that failed at its first bad epoch, with
+    its coefficients and first non-finite gradient entry taken from that
+    epoch's ring row.  Then _breakdowns runs over the ring's record epochs,
+    which gives each run the bits of its own breakdown().  A non-finite
+    recorded total freezes its run at that epoch, which wins over any later
+    freeze.
 
     A frozen run stays in the stack and keeps training, out of the tests and
     the records.  Its report uses only its saved copy and the rows recorded
@@ -257,63 +256,35 @@ def fit_sweep(samples: SampleSet, config: TrainConfig, lambdas) -> list[Training
 
     histories: list[list[HistoryRow]] = [[] for _ in lambdas]
     divergences: list[tuple[int, tuple[int, int] | None] | None] = [None] * len(lambdas)
+    live = np.ones(len(lambdas), dtype=bool)  # the runs not yet diverged
     saved: dict[int, np.ndarray] = {}  # the coefficients of each run where it diverged
-    frozen: list[int] = []  # the diverged runs, which stay in the stack
-    # the stack and the optimizer's arrays at the start of the block, for a replay
-    slots = [stack] + [a for a in vars(state).values() if isinstance(a, np.ndarray)]
-    snapshot = [a.copy() for a in slots]
-    # each epoch's g.c and linear.c, tested for finiteness once per block
-    products = np.empty((_BLOCK, 2, len(lambdas), 1, 1))
-    # the stacks of the record epochs not yet passed to _breakdowns, at most
-    # batch of them, so that the pass's gathered sample tables stay small
+    # the stack at each epoch of the block, and each epoch's g.c and linear.c
+    ring = np.empty((max(1, min(_BLOCK, _RECORD_BYTES // stack.nbytes)),) + stack.shape)
+    products = np.empty((len(ring), 2, len(lambdas), 1, 1))
+    # record epochs per _breakdowns pass, so that its gathered sample tables stay small
     per_record = len(lambdas) * max(len(samples), config.segments) * (config.degree + 1) * 8
-    batch = max(1, _RECORD_BYTES // per_record)
-    records = np.empty((batch,) + stack.shape)
-    record_epochs: list[int] = []
+    chunk = max(1, _RECORD_BYTES // per_record)
     every = config.record_every
 
     def freeze(run, epoch, location, coeffs):
-        """Stop run at epoch, keeping coeffs, unless it stopped earlier already."""
-        if divergences[run] is None or epoch < divergences[run][0]:
-            divergences[run] = (epoch, location)
-            saved[run] = coeffs.copy()
-        if run not in frozen:
-            frozen.append(run)
+        """Stop run at epoch, keeping coeffs; it must not have stopped at or before epoch."""
+        divergences[run] = (epoch, location)
+        saved[run] = coeffs.copy()
+        live[run] = False
 
-    def run_block(start, stop, due):
-        """Epochs start..stop-1, each one gradient, its dot products and one update.
-
-        The runs in due[epoch] are frozen at that epoch; the block stops
-        there if that leaves no run live.
-        """
-        for row, epoch in enumerate(range(start, stop)):
-            grads = form.gradients(stack)
-            form.dot_products(stack, grads, products[row])
-            for run in due.get(epoch, ()):
-                freeze(run, epoch, _first_non_finite(grads[run]), stack[run])
-            if len(frozen) == len(lambdas):
-                return
-            if epoch % every == 0:
-                records[len(record_epochs)] = stack
-                record_epochs.append(epoch)
-            if reg is not None:
-                grads *= reg
-            _update(state, config.optimizer, stack, grads)
-
-    def record():
-        """Append the buffered epochs' history rows; a non-finite total freezes its run."""
-        count = len(record_epochs)
-        rows = engine._breakdowns(records[:count].reshape(-1, *stack.shape[1:]),
-                                  lambdas * count)
-        for i, epoch in enumerate(record_epochs):
-            for run, row in enumerate(rows[i * len(lambdas):(i + 1) * len(lambdas)]):
-                if divergences[run] is not None and divergences[run][0] <= epoch:
-                    continue
-                if math.isfinite(row[0]):
-                    histories[run].append(HistoryRow(epoch, *row))
-                else:
-                    freeze(run, epoch, None, records[i, run])
-        record_epochs.clear()
+    def record(epochs, stacks):
+        """Append each run's rows at ascending epochs; a non-finite total freezes its run."""
+        for i in range(0, len(epochs), chunk):
+            batch = stacks[i:i + chunk]
+            rows = engine._breakdowns(batch.reshape(-1, *stack.shape[1:]), lambdas * len(batch))
+            for j, epoch in enumerate(epochs[i:i + chunk]):
+                for run, row in enumerate(rows[j * len(lambdas):(j + 1) * len(lambdas)]):
+                    if divergences[run] is not None and divergences[run][0] <= epoch:
+                        continue
+                    if math.isfinite(row[0]):
+                        histories[run].append(HistoryRow(epoch, *row))
+                    else:
+                        freeze(run, epoch, None, batch[j, run])
 
     # divergence is detected via isfinite checks, so silence the transient
     # overflow warnings a runaway run (or data near the float limit, in the
@@ -321,34 +292,25 @@ def fit_sweep(samples: SampleSet, config: TrainConfig, lambdas) -> list[Training
     with np.errstate(over="ignore", invalid="ignore"):
         engine = LossEngine(template, samples, loss_cfg)
         form = engine._forms(lambdas)
-        start = 0
-        while start < config.epochs and len(frozen) < len(lambdas):
-            # the block ends at the latest at the record epoch that fills the batch
-            filling = start + (-start) % every + (batch - len(record_epochs) - 1) * every
-            stop = min(start + _BLOCK, config.epochs, filling + 1)
-            for dst, src in zip(snapshot, slots):
-                np.copyto(dst, src)
-            step_count, recorded = state.step_count, len(record_epochs)
-            run_block(start, stop, {})
-            bad = ~np.isfinite(form.totals(products[:stop - start]))
-            bad[:, frozen] = False
-            if bad.any():
-                # replay the block from its start, freezing each run at its first bad epoch
-                due: dict[int, list[int]] = {}
-                for run in np.flatnonzero(bad.any(axis=0)).tolist():
-                    due.setdefault(start + int(bad[:, run].argmax()), []).append(run)
-                for dst, src in zip(slots, snapshot):
-                    np.copyto(dst, src)
-                state.step_count = step_count
-                del record_epochs[recorded:]
-                run_block(start, stop, due)
-            if len(record_epochs) == batch:
-                record()
-            start = stop
-        if len(frozen) < len(lambdas):
-            records[len(record_epochs)] = stack
-            record_epochs.append(config.epochs)
-        record()
+        for start in range(0, config.epochs, len(ring)):
+            if not live.any():
+                break
+            count = min(len(ring), config.epochs - start)
+            for row in range(count):
+                ring[row] = stack
+                grads = form.gradients(stack)
+                form.dot_products(stack, grads, products[row])
+                if reg is not None:
+                    grads *= reg
+                _update(state, config.optimizer, stack, grads)
+            bad = ~np.isfinite(form.totals(products[:count])) & live
+            for run in np.flatnonzero(bad.any(axis=0)).tolist():
+                row = int(bad[:, run].argmax())
+                freeze(run, start + row, _first_non_finite(form.gradients(ring[row])[run]),
+                       ring[row, run])
+            first = -start % every
+            record(range(start + first, start + count, every), ring[first:count:every])
+        record([config.epochs], stack[None])
 
     reports = []
     for run, (history, divergence) in enumerate(zip(histories, divergences)):

@@ -22,7 +22,7 @@ from ckspline import (
     regularization_vector,
 )
 from ckspline.losses import _sample_tables
-from ckspline.training import _BLOCK, _least_squares_coefficients
+from ckspline.training import _BLOCK, _RECORD_BYTES, _least_squares_coefficients
 
 from conftest import reference_fit
 
@@ -458,10 +458,10 @@ def test_fit_sweep_every_run_diverges():
 
 
 @pytest.mark.parametrize("kind", ["adam", "adamax", "amsgrad"])
-def test_fit_sweep_replay_restores_the_optimizer_state(kind):
-    # at this rate every lambda but 1 diverges at epoch 1; the block is
-    # replayed from its start, and the surviving run's bias correction must
-    # count each epoch once
+def test_fit_sweep_early_divergences_leave_the_adaptive_survivor_exact(kind):
+    # at this rate every lambda but 1 diverges at epoch 1, and the frozen
+    # runs keep training in the stack; the surviving run's bias correction
+    # must count each epoch once
     xs = np.linspace(0, 16, 64)
     config = TrainConfig(segments=8, degree=5, epochs=100, loss=LossConfig(k=2),
                          optimizer=OptimizerConfig(kind, 1e153), init="least_squares")
@@ -475,18 +475,50 @@ def test_fit_sweep_zero_epochs_records_the_start_only():
     assert [[row.epoch for row in r.history] for r in swept] == [[0], [0]]
 
 
-@pytest.mark.parametrize("epochs", [_BLOCK - 1, _BLOCK + 1, 3 * _BLOCK + 5])
-@pytest.mark.parametrize("record_every", [1, 4, _BLOCK, 2 * _BLOCK + 3])
-def test_fit_sweep_epochs_not_a_multiple_of_the_block(epochs, record_every):
-    # the runs diverge at epochs 27, 28, 30 and 42, inside the first and the
-    # second block; lambda 0 stays at its zero start
+def assert_block_divergences(epochs, record_every):
+    """A sweep of five runs in blocks of _BLOCK epochs against reference_fit.
+
+    The runs diverge at epochs 59 and 61 in the first block, at _BLOCK on
+    the second block's first epoch and at 98 or 99 (by record_every) inside
+    the second block; lambda 0 stays at its zero start.  A sweep of exactly
+    _BLOCK epochs sees lambda 0.77 diverge through its final record.
+    """
+    lambdas = [0.9, 0.77, 0.25, 0.1, 0.0]
+    # at this size the ring holds _BLOCK stacks, so a block is _BLOCK epochs
+    assert len(lambdas) * 8 * 6 * 8 * _BLOCK <= _RECORD_BYTES
     xs = np.linspace(0, 16, 64)
-    samples = SampleSet(xs, 1e100 * np.sin(xs))
     config = TrainConfig(segments=8, degree=5, epochs=epochs, loss=LossConfig(k=2),
                          optimizer=OptimizerConfig("sgd", 10.0), record_every=record_every)
-    swept = assert_matches_reference(samples, config, [1.0, 0.5, 0.25, 0.1, 0.0])
-    assert sum(r.diverged for r in swept) == (3 if epochs < 42 else 4)
+    swept = assert_matches_reference(SampleSet(xs, 1e30 * np.sin(xs)), config, lambdas)
+    for report, at in zip(swept, [(98, 99), (_BLOCK,), (61,), (59,)]):
+        assert report.diverged_epoch in (at if epochs >= max(at) else (None,))
     assert swept[-1].history[-1].epoch == epochs
+    return swept
+
+
+@pytest.mark.parametrize("epochs", [31, 33, 101])
+@pytest.mark.parametrize("record_every", [1, 4, 32, 67])
+def test_fit_sweep_epochs_not_a_multiple_of_the_block(epochs, record_every):
+    # the sweep ends inside the first block or inside the second
+    assert_block_divergences(epochs, record_every)
+
+
+@pytest.mark.parametrize("epochs", [_BLOCK - 1, _BLOCK, _BLOCK + 1])
+@pytest.mark.parametrize("record_every", [1, 7])
+def test_fit_sweep_ends_next_to_a_block_boundary(epochs, record_every):
+    assert_block_divergences(epochs, record_every)
+
+
+def test_fit_sweep_stack_beyond_the_byte_budget():
+    # the (5, 1024, 8) stack exceeds _RECORD_BYTES, so the ring holds one
+    # stack and every epoch is a block; lambda 0.1 alone diverges
+    xs = np.linspace(0, 16, 2048)
+    config = TrainConfig(segments=1024, degree=7, epochs=40, loss=LossConfig(k=3),
+                         optimizer=OptimizerConfig("sgd", 10.0), record_every=3)
+    assert 5 * 1024 * 8 * 8 > _RECORD_BYTES
+    swept = assert_matches_reference(SampleSet(xs, 1e100 * np.sin(xs)), config,
+                                     [1.0, 0.75, 0.5, 0.25, 0.1])
+    assert [r.diverged_epoch for r in swept] == [None, None, None, None, 39]
 
 
 def test_fit_sweep_record_every_beyond_epochs():
@@ -514,8 +546,8 @@ def test_breakdowns_of_a_batch_of_stacks_equal_each_runs_breakdown(batch):
 
 
 def test_fit_sweep_buffers_do_not_grow_with_record_every():
-    # the record batch and the block buffers have fixed sizes: recording
-    # rarely must not cost more memory than recording often
+    # the ring of the block's stacks has a fixed size: recording rarely
+    # must not cost more memory than recording often
     xs = np.linspace(0, 16, 128)
     samples = SampleSet(xs, np.sin(xs))
     peaks = {}
