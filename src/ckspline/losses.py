@@ -178,13 +178,13 @@ def _segment_sums(seg, columns, m):
 class _Forms(NamedTuple):
     """The quadratic forms of L runs that differ only in lam, stacked.
 
-    rows holds the (L, m, w, 3w) block rows, neighbours the (m, 3)
-    coefficient rows each block row multiplies, linear and constant the
-    (L, m, w) and (L,) stacks.  The methods take an (L, m, w) coefficient
-    stack, one row per lam in order.  gradients() is one stacked matmul,
-    which makes the same BLAS call with the same strides for every (run,
-    segment) item, so a run's gradient is the same bits whatever it is
-    stacked with.
+    rows holds the (L, m, w, 3w) block rows in one C-ordered array,
+    neighbours the (m, 3) coefficient rows each block row multiplies, linear
+    and constant the (L, m, w) and (L,) stacks.  The methods take an
+    (L, m, w) coefficient stack, one row per lam in order.  gradients() is
+    one stacked matmul, which makes the same BLAS call on a contiguous
+    (w, 3w) operand for every (run, segment) item, so a run's gradient is
+    the same bits whatever it is stacked with.
     """
 
     rows: np.ndarray
@@ -293,10 +293,14 @@ class LossEngine:
         after = np.zeros_like(diag)
         after[:, left] = -ck_scale * np.einsum("bjs,bjt->bst", basis_left, basis_right)
 
-        # block row i is [H[i, i-1], H[i, i], H[i, i+1]] against c[i-1], c[i], c[i+1], mod m
-        before = np.roll(after, 1, axis=1).swapaxes(2, 3)
+        # block row i is [H[i, i-1], H[i, i], H[i, i+1]] against c[i-1], c[i], c[i+1], mod m,
+        # filled into one C-ordered array
+        rows = np.empty(diag.shape[:3] + (3, width))
+        rows[..., 0, :] = np.roll(after, 1, axis=1).swapaxes(2, 3)
+        rows[..., 1, :] = diag
+        rows[..., 2, :] = after
         i = np.arange(m)
-        return _Forms(np.concatenate([before, diag, after], axis=3),
+        return _Forms(rows.reshape(*diag.shape[:3], 3 * width),
                       np.stack([(i - 1) % m, i, (i + 1) % m], axis=1), linear, constant)
 
     def breakdown(self) -> LossBreakdown:

@@ -7,12 +7,14 @@ from numpy.testing import assert_allclose
 from ckspline import (
     DomainError,
     LossConfig,
+    LossEngine,
     SampleSet,
     SplineModel,
     ck_loss,
     fd_gradient,
     gradient,
     l2_loss,
+    make_scaled_problem,
     strain_loss,
     total_loss,
 )
@@ -213,6 +215,18 @@ def test_gradient_linearity_in_lambda():
     g_ck = gradient(model, samples, LossConfig(lam=0.0, k=k))
     g_mix = gradient(model, samples, LossConfig(lam=lam, k=k))
     assert_allclose(g_mix, lam * g_l2 + (1 - lam) * g_ck, rtol=1e-12, atol=1e-14)
+
+
+@pytest.mark.parametrize("mode", ["open", "cyclic", "periodic"])
+def test_stacked_operator_rows_are_c_ordered(mode):
+    # matmul passes each (w, 3w) block row to BLAS as one contiguous operand
+    xs = np.linspace(0.0, 16.0, 64)
+    samples = SampleSet(xs, np.sin(xs))
+    model, _ = make_scaled_problem(samples, 8, 5)
+    config = LossConfig(k=2, boundary_mode=mode, strain_weight=0.01)
+    rows = LossEngine(model, samples, config)._forms([1.0, 0.5, 0.0]).rows
+    assert rows.shape == (3, 8, 6, 18)
+    assert rows.flags.c_contiguous
 
 
 @pytest.mark.parametrize("mode", ["open", "cyclic", "periodic"])
