@@ -1,3 +1,4 @@
+import math
 import zlib
 
 import numpy as np
@@ -175,6 +176,19 @@ def test_total_loss_extremes_and_blend():
     assert pure_ck.total == pytest.approx(ck)
     blend = total_loss(model, samples, LossConfig(lam=0.5, k=1))
     assert blend.total == pytest.approx(0.5 * l2 + 0.5 * ck, rel=1e-12)
+
+
+def test_breakdown_leaves_zero_weight_terms_out():
+    # the strain overflows, but at strain_weight 0 (and at lam 1 for ck) the
+    # total stays the finite blend of the weighted terms, not 0 * inf = NaN
+    xs = np.linspace(0.0, 16.0, 64)
+    samples = SampleSet(xs, np.sin(xs))
+    model, _ = make_scaled_problem(samples, 4, 5)
+    model.coefficients[:] = [0.0, 0.0, 1e154, 0.0, 0.0, 0.0]
+    for lam in (1.0, 0.5, 0.0):
+        loss = LossEngine(model, samples, LossConfig(lam=lam, k=0)).breakdown()
+        assert math.isinf(loss.strain) and math.isfinite(loss.l2) and loss.l2 > 1e306
+        assert loss.total == lam * loss.l2 + (1.0 - lam) * loss.ck
 
 
 def test_breakdown_identity_with_strain():
