@@ -153,7 +153,8 @@ def _least_squares_coefficients(model: SplineModel, samples: SampleSet):
     Segments with the same sample count are solved as one batch: one rank
     test over the stack of their design matrices and one batched solve of
     the normal equations.  A short or rank-deficient segment falls back to
-    the minimum-norm solution and is flagged (1-based numbers).
+    the minimum-norm solution and is flagged (1-based numbers).  A solution
+    that is not finite raises ValueError, before any training starts.
     """
     seg, powers = _sample_tables(model, samples)
     m, width = model.coefficients.shape
@@ -163,19 +164,26 @@ def _least_squares_coefficients(model: SplineModel, samples: SampleSet):
     starts = np.cumsum(counts) - counts
     coeffs = np.zeros_like(model.coefficients)
     solved = np.zeros(m, dtype=bool)
-    for count in np.unique(counts[counts >= width]):
-        group = np.flatnonzero(counts == count)
-        rows = order[starts[group, None] + np.arange(count)]
-        design, targets = powers[rows], samples.ys[rows]
-        full = np.linalg.matrix_rank(design) == width
-        design, targets, group = design[full], targets[full, :, None], group[full]
-        design_t = design.transpose(0, 2, 1)
-        coeffs[group] = np.linalg.solve(design_t @ design, design_t @ targets)[..., 0]
-        solved[group] = True
-    deficient = np.flatnonzero(~solved)
-    for i in deficient[counts[deficient] > 0]:
-        rows = order[starts[i]:starts[i] + counts[i]]
-        coeffs[i] = np.linalg.lstsq(powers[rows], samples.ys[rows], rcond=None)[0]
+    # sample values near the float limit overflow the solves; that is
+    # reported below, not warned about
+    with np.errstate(over="ignore", invalid="ignore"):
+        for count in np.unique(counts[counts >= width]):
+            group = np.flatnonzero(counts == count)
+            rows = order[starts[group, None] + np.arange(count)]
+            design, targets = powers[rows], samples.ys[rows]
+            full = np.linalg.matrix_rank(design) == width
+            design, targets, group = design[full], targets[full, :, None], group[full]
+            design_t = design.transpose(0, 2, 1)
+            coeffs[group] = np.linalg.solve(design_t @ design, design_t @ targets)[..., 0]
+            solved[group] = True
+        deficient = np.flatnonzero(~solved)
+        for i in deficient[counts[deficient] > 0]:
+            rows = order[starts[i]:starts[i] + counts[i]]
+            coeffs[i] = np.linalg.lstsq(powers[rows], samples.ys[rows], rcond=None)[0]
+    overflowed = np.flatnonzero(~np.isfinite(coeffs).all(axis=1))
+    if overflowed.size:
+        raise ValueError(f"least-squares start is not finite in segment {overflowed[0] + 1}: "
+                         "the sample values are too large")
     return coeffs, tuple(int(i) + 1 for i in deficient)
 
 

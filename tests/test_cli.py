@@ -246,6 +246,23 @@ def test_fit_command_sample_range_wider_than_a_double_is_config_error(tmp_path, 
     assert not out.exists()
 
 
+@pytest.mark.parametrize("verb", ["fit", "sweep"])
+def test_non_finite_least_squares_start_is_config_error(tmp_path, capsys, verb):
+    # the per-segment solve overflows; RuntimeWarnings are errors under
+    # pytest, so this also checks that none is printed
+    xs = np.linspace(0.0, 1000.0, 64)
+    data = tmp_path / "huge.csv"
+    np.savetxt(data, np.column_stack([xs, 1e307 * np.sin(xs)]), delimiter=",",
+               header="x,y", comments="")
+    out = tmp_path / "run"
+    flags = ["--init", "least_squares", "--scaling", "none", "--segments", "4",
+             "--degree", "3", "--k", "1"] + (["--lambdas", "1,0.5"] if verb == "sweep" else [])
+    assert main([verb, "--input", str(data), "--out", str(out), *flags]) == 1
+    assert capsys.readouterr().err == (
+        "error: least-squares start is not finite in segment 1: the sample values are too large\n")
+    assert not out.exists()
+
+
 def test_eval_malformed_model_is_config_error(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text('{"degree": 3}\n')
