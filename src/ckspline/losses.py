@@ -309,19 +309,24 @@ class LossEngine:
     def _breakdowns(self, coeffs: np.ndarray, lams) -> list[tuple[float, float, float, float]]:
         """Residual-form (total, l2, ck, strain) of each run of an (L, m, d+1) stack.
 
-        Run r is blended with weight lams[r].  A term whose weight is 0 is
-        left out of the blend, so an infinite term there cannot make the
-        total NaN; a finite one would add exactly 0.  Every run's row is the
-        same bits whatever L is and whatever it is stacked with, so
-        breakdown() is the L = 1 case.
+        Run r is blended with weight lams[r], in Python floats.  A term whose
+        weight is 0 is left out of the blend, so an infinite term there
+        cannot make the total NaN; a finite one would add exactly 0.  Every
+        run's row is the same bits whatever L is and whatever it is stacked
+        with, so breakdown() is the L = 1 case.
         """
-        lam = np.asarray(lams, dtype=float)
-        terms = np.stack([_l2_values(coeffs, self.seg, self.powers, self.ys),
-                          _ck_values(coeffs, self.bases, self.ck_divisor),
-                          _strain_values(coeffs, self.strain_tables)])
-        weights = np.stack([lam, 1.0 - lam, np.full_like(lam, self.config.strain_weight)])
-        parts = np.multiply(weights, terms, out=np.zeros_like(terms), where=weights != 0.0)
-        return list(zip((parts[0] + parts[1] + parts[2]).tolist(), *terms.tolist()))
+        weight = self.config.strain_weight
+        rows = []
+        for lam, l2, ck, strain in zip(lams,
+                                       _l2_values(coeffs, self.seg, self.powers, self.ys).tolist(),
+                                       _ck_values(coeffs, self.bases, self.ck_divisor).tolist(),
+                                       _strain_values(coeffs, self.strain_tables).tolist()):
+            total = 0.0
+            for w, term in ((lam, l2), (1.0 - lam, ck), (weight, strain)):
+                if w:
+                    total += w * term
+            rows.append((total, l2, ck, strain))
+        return rows
 
     def gradient(self) -> np.ndarray:
         return self._form.gradients(self.model.coefficients[None])[0]

@@ -188,7 +188,10 @@ def _least_squares_coefficients(model: SplineModel, samples: SampleSet):
 
 
 def least_squares_init(model: SplineModel, samples: SampleSet) -> SplineModel:
-    """Model with the per-segment l2-optimal coefficients (no continuity coupling)."""
+    """Model with the per-segment l2-optimal coefficients (no continuity coupling).
+
+    Raises ValueError when a segment's solution is not finite.
+    """
     coeffs, _ = _least_squares_coefficients(model, samples)
     out = model.copy()
     out.coefficients[:] = coeffs
