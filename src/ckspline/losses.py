@@ -295,12 +295,12 @@ class LossEngine:
 
         # block row i is [H[i, i-1], H[i, i], H[i, i+1]] against c[i-1], c[i], c[i+1], mod m,
         # filled into one C-ordered array
-        rows = np.empty(diag.shape[:3] + (3, width))
+        rows = np.empty((len(lam), m, width, 3, width))
         rows[..., 0, :] = np.roll(after, 1, axis=1).swapaxes(2, 3)
         rows[..., 1, :] = diag
         rows[..., 2, :] = after
         i = np.arange(m)
-        return _Forms(rows.reshape(*diag.shape[:3], 3 * width),
+        return _Forms(rows.reshape(len(lam), m, width, 3 * width),
                       np.stack([(i - 1) % m, i, (i + 1) % m], axis=1), linear, constant)
 
     def breakdown(self) -> LossBreakdown:
@@ -316,11 +316,11 @@ class LossEngine:
         with, so breakdown() is the L = 1 case.
         """
         weight = self.config.strain_weight
+        terms = zip(_l2_values(coeffs, self.seg, self.powers, self.ys).tolist(),
+                    _ck_values(coeffs, self.bases, self.ck_divisor).tolist(),
+                    _strain_values(coeffs, self.strain_tables).tolist())
         rows = []
-        for lam, l2, ck, strain in zip(lams,
-                                       _l2_values(coeffs, self.seg, self.powers, self.ys).tolist(),
-                                       _ck_values(coeffs, self.bases, self.ck_divisor).tolist(),
-                                       _strain_values(coeffs, self.strain_tables).tolist()):
+        for lam, (l2, ck, strain) in zip(lams, terms):
             total = 0.0
             for w, term in ((lam, l2), (1.0 - lam, ck), (weight, strain)):
                 if w:
