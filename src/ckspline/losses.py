@@ -25,9 +25,9 @@ Loss values come from the residual form instead (l2 from the sample
 residuals, ck from the jumps at every boundary in one batch, strain from its
 per-segment tables): the expanded form above loses digits when l2 is tiny.
 The training loop therefore takes the residual-form breakdown only at
-record epochs, in one pass over a batch of them for every run of a sweep,
-and tests each epoch's loss for finiteness, a block of epochs at a time,
-through the cheap expanded value.  fd_gradient differentiates breakdown
+record epochs, over all of a block's record epochs and every run of a
+sweep at once, and tests each epoch's loss for finiteness, a block of
+epochs at a time, through the cheap expanded value.  fd_gradient differentiates breakdown
 numerically and so stays an oracle independent of the assembled operator.
 
 All three terms are evaluated in internal (scaled) coordinates.  Functions

@@ -179,8 +179,8 @@ def test_total_loss_extremes_and_blend():
 
 
 def test_breakdown_leaves_zero_weight_terms_out():
-    # the strain overflows, but at strain_weight 0 (and at lam 1 for ck) the
-    # total stays the finite blend of the weighted terms, not 0 * inf = NaN
+    # the strain overflows, but at strain_weight 0 the total stays the
+    # finite blend of the weighted terms, not 0 * inf = NaN
     xs = np.linspace(0.0, 16.0, 64)
     samples = SampleSet(xs, np.sin(xs))
     model, _ = make_scaled_problem(samples, 4, 5)
