@@ -189,27 +189,42 @@ def _rows(table, row: str, sep: str):
     row holds one _NUMBER field per table column and no other %-conversion;
     a 1-D table holds one value per row.  The pieces join to exactly
     ``sep.join([row] * len(table)) % tuple(table.ravel())``, which is how a
-    table of fewer than _SMALL values is written.  A larger one takes
-    _Kernel passes over whole rows, at most _CHUNK values and at most an
-    eighth of the table each, which keeps the text and the scratch held at
-    once small.
+    table of fewer than _SMALL values is written.  A larger one goes to
+    _block_rows as one block.
     """
     table = np.asarray(table, dtype=float)
     if table.ndim == 1:
         table = table[:, None]
-    values = table.ravel()
-    if values.size < _SMALL:
-        yield sep.join([row] * len(table)) % tuple(values.tolist())
+    return _block_rows([table], table.size, row, sep)
+
+
+def _block_rows(blocks, size: int, row: str, sep: str):
+    """Yield the text of a float table of `size` values that arrives as blocks of rows.
+
+    blocks yields 2-D arrays of whole rows that make up the table in order;
+    the pieces join to the text _rows gives for the whole table.  Below
+    _SMALL values that is one %-format.  A larger table takes _Kernel passes
+    over whole rows of a block, at most _CHUNK values and at most an eighth
+    of the table each, which keeps the text and the scratch held at once
+    small.  One kernel's scratch serves every block.
+    """
+    if size < _SMALL:
+        table = np.concatenate(list(blocks))
+        yield sep.join([row] * len(table)) % tuple(table.ravel().tolist())
         return
     parts = row.split(_NUMBER)
     # the literal after the last field runs into the next row
     literals = parts[1:-1] + [parts[-1] + sep + parts[0]]
     # a pass holds about 0.5 KB of scratch per value: eight passes keep a
     # sweep's history from raising its peak RSS
-    step = min(max(values.size // 8, _SMALL), _CHUNK)
+    step = min(max(size // 8, _SMALL), _CHUNK)
     step = max(1, step // len(literals)) * len(literals)
-    kernel = _Kernel(min(step, values.size), literals)
+    kernel = _Kernel(min(step, size), literals)
     yield parts[0]
-    for start in range(0, values.size, step):
-        text = kernel.text(values[start:start + step])
-        yield text if start + step < values.size else text[:len(text) - len(sep + parts[0])]
+    done = 0
+    for block in blocks:
+        values = block.ravel()
+        for start in range(0, values.size, step):
+            text = kernel.text(values[start:start + step])
+            done += min(step, values.size - start)
+            yield text if done < size else text[:len(text) - len(sep + parts[0])]

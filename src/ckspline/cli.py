@@ -28,9 +28,9 @@ from pathlib import Path
 
 import numpy as np
 
-from ._text import _NUMBER, _rows
+from ._text import _NUMBER, _block_rows, _rows
 from .losses import BOUNDARY_MODES, LossConfig
-from .model import DomainMap, SampleSet, SplineModel, evaluate
+from .model import DomainMap, SampleSet, SplineModel, _derivatives, evaluate
 from .optimizers import OPTIMIZER_KINDS, OptimizerConfig
 from .repair import ConditioningError, repair_continuity
 from .training import INITS, REGULARIZATIONS, SCALINGS, TrainConfig, fit, fit_sweep
@@ -47,6 +47,10 @@ __all__ = [
 ]
 
 _KEY_ALIASES = {"lambda": "lam"}
+# curve.csv rows per block, when a segment's rows fit: a block's grid,
+# values and table take well under 1 MB, and its text goes to the file
+# before the next block is built; smaller blocks cost time per block
+_CURVE_ROWS = 8192
 
 
 @dataclass
@@ -125,17 +129,24 @@ def load_samples(path) -> SampleSet:
     return SampleSet(xs[order], ys[order])
 
 
-def _json_array(table) -> str:
-    """A 1-D table as a JSON array of numbers, a 2-D one as an array of its rows."""
+def _json_array(table):
+    """Yield the text of a 1-D table as a JSON array of numbers, a 2-D one as an array of rows."""
     table = np.asarray(table, dtype=float)
     row = _NUMBER if table.ndim == 1 else "[" + ", ".join([_NUMBER] * table.shape[1]) + "]"
-    return "[" + "".join(_rows(table, row, ", ")) + "]"
+    yield "["
+    yield from _rows(table, row, ", ")
+    yield "]"
 
 
 def _write_json(fields: dict, path: Path):
-    """fields maps each key to its value's JSON text."""
-    body = ",\n".join(f"  {json.dumps(key)}: {text}" for key, text in fields.items())
-    path.write_text("{\n" + body + "\n}\n")
+    """fields maps each key to the pieces of its value's JSON text, written as they come."""
+    with path.open("w") as handle:
+        sep = "{\n"
+        for key, pieces in fields.items():
+            handle.write(f"{sep}  {json.dumps(key)}: ")
+            handle.writelines(pieces)
+            sep = ",\n"
+        handle.write("\n}\n")
 
 
 def _write_csv(path: Path, header: str, table):
@@ -150,12 +161,11 @@ def save_model(model: SplineModel, path):
     domain = model.domain_map
     _write_json(
         {
-            "degree": str(model.degree),
+            "degree": [str(model.degree)],
             "breakpoints": _json_array(model.breakpoints),
             "centers": _json_array(model.centers),
             "coefficients": _json_array(model.coefficients),
-            "domain_map": "".join(_rows([[domain.a, domain.b]],
-                                        f'{{"a": {_NUMBER}, "b": {_NUMBER}}}', "")),
+            "domain_map": _rows([[domain.a, domain.b]], f'{{"a": {_NUMBER}, "b": {_NUMBER}}}', ""),
         },
         Path(path),
     )
@@ -204,18 +214,38 @@ def load_model(path) -> SplineModel:
 
 
 def _write_curve(model: SplineModel, k: int, resolution: int, path: Path):
-    """Sampled curve and derivatives 0..k in data coordinates."""
-    xi = model.breakpoints
-    # one row per segment; each segment after the first skips its shared start
-    grid = np.linspace(xi[:-1], xi[1:], resolution, axis=1)
-    xs = model.domain_map.inverse(np.append(grid[0, 0], grid[:, 1:]))
-    # filled column by column: stacking a list of columns would hold the
-    # curve twice at the peak
-    table = np.empty((xs.size, k + 2))
-    table[:, 0] = xs
-    for j in range(k + 1):
-        table[:, j + 1] = evaluate(model, xs, j)
-    _write_csv(path, "x,f" + "".join(f",d{j}" for j in range(1, k + 1)), table)
+    """Sampled curve and derivatives 0..k in data coordinates, a block of segments at a time.
+
+    Each segment has resolution points, and each segment after the first
+    skips its shared start.  Every block's rows are written before the next
+    block is built, so the memory held does not grow with the model.
+    """
+    xi, m = model.breakpoints, model.num_segments
+    per_block = max(1, _CURVE_ROWS // (resolution - 1))
+    if (np.diff(xi) / (resolution - 1) == 0).any():
+        # when a step underflows to 0, linspace switches the whole array to
+        # another formula, so such a model is one block
+        per_block = m
+
+    def blocks():
+        for start in range(0, m, per_block):
+            stop = min(start + per_block, m)
+            grid = np.linspace(xi[start:stop], xi[start + 1:stop + 1], resolution, axis=1)
+            points = grid[:, 1:] if start else np.append(grid[0, 0], grid[:, 1:])
+            table = np.empty((points.size, k + 2))
+            xs = model.domain_map.inverse(points.ravel())
+            table[:, 0] = xs
+            # the value column goes through the public evaluate, the call that
+            # bench/traced.py times; the derivatives share one more locate
+            table[:, 1] = evaluate(model, xs, 0)
+            for j, values in enumerate(_derivatives(model, xs, range(1, k + 1)), 2):
+                table[:, j] = values
+            yield table
+
+    with path.open("w") as handle:
+        handle.write("x,f" + "".join(f",d{j}" for j in range(1, k + 1)) + "\n")
+        row = _NUMBER + ("," + _NUMBER) * (k + 1) + "\n"
+        handle.writelines(_block_rows(blocks(), (m * (resolution - 1) + 1) * (k + 2), row, ""))
 
 
 def _write_repair_report(report, path: Path):
@@ -225,7 +255,7 @@ def _write_repair_report(report, path: Path):
             "pre_defects": _json_array(report.pre_defects),
             "post_defects": _json_array(report.post_defects),
             "mean_targets": _json_array(report.mean_targets),
-            "max_correction": "".join(_rows([report.max_correction], _NUMBER, "")),
+            "max_correction": _rows([report.max_correction], _NUMBER, ""),
         },
         Path(path),
     )

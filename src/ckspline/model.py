@@ -230,45 +230,66 @@ def eval_segment(model: SplineModel, i: int, x, j: int = 0):
     return float(out) if out.ndim == 0 else out
 
 
+def _derivatives(model: SplineModel, x, orders):
+    """Yield the j-th derivative at data coordinates x for each j in orders, as evaluate.
+
+    One _locate maps x and finds the owning segments for every order.  Each
+    yielded array has the shape of x.
+    """
+    x = np.asarray(x, dtype=float)
+    t, rows = _locate(model, model.domain_map.forward(x), x)
+    t -= model.centers[rows]  # now the offset within each owning segment
+    # only the segments the points reach: a block of nearby points costs in
+    # proportion to its own segments, not the model's
+    first = rows.min(initial=model.num_segments)
+    coeffs = model.coefficients[first:rows.max(initial=0) + 1]
+    rows = rows - first
+    for j in orders:
+        out = _horner(_derivative_coefficients(coeffs, j), rows, t)
+        out *= model.domain_map.a**j
+        yield out
+
+
 def evaluate(model: SplineModel, x, j: int = 0):
     """j-th derivative with respect to data coordinates, at data coordinate x.
 
     Maps x through the domain map, gathers the derivative coefficients of
     each point's owning segment, runs one Horner pass over all points, and
-    applies the chain-rule factor a**j.  A scalar x returns a float.
+    applies the chain-rule factor a**j: the one-order case of _derivatives.
+    A scalar x returns a float.
     """
-    x = np.asarray(x, dtype=float)
-    t, rows = _locate(model, model.domain_map.forward(x), x)
-    t -= model.centers[rows]  # now the offset within each owning segment
-    out = _horner(_derivative_coefficients(model.coefficients, j), rows, t)
-    out *= model.domain_map.a**j
+    (out,) = _derivatives(model, x, [j])
     return float(out) if out.ndim == 0 else out
 
 
 def _derivative_basis(u, degree, k):
     """(len(u), k+1, d+1): row j holds d^j/dx^j of each shifted monomial at offset u.
 
-    One pow per (u, power), gathered per order; the product is C-contiguous,
-    which keeps einsum's summation order over it fixed.
+    One pow per bitwise-distinct u and power (at uniform breakpoints every
+    boundary side has the same offset), gathered per order and per u; the
+    product is C-contiguous, which keeps einsum's summation order over it
+    fixed.
     """
+    distinct, which = np.unique(u.view(np.int64), return_inverse=True)
     j = np.arange(k + 1)[:, None]
     t = np.arange(degree + 1)
     factors = np.array([[math.perm(s, row) for s in range(degree + 1)] for row in range(k + 1)],
                        dtype=float)
-    return factors * (u[:, None] ** t).take(np.maximum(t - j, 0), axis=1)
+    return (factors * (distinct.view(float)[:, None] ** t).take(np.maximum(t - j, 0), axis=1))[which]
 
 
-def _boundaries(model: SplineModel, k: int, wrap: bool):
-    """Segment rows and order-0..k derivative bases on both sides of every boundary.
+def _boundaries(model: SplineModel, k: int, wrap: bool, block: slice = slice(None)):
+    """Segment rows and order-0..k derivative bases on both sides of the boundaries in block.
 
     Boundary b joins row left[b] at its right end to row right[b] =
     (left[b] + 1) mod m at its left end.  The m-1 interior boundaries come
     first; with wrap, one wrap-around boundary follows, comparing derivative
-    values at xi_m and xi_0.  _one_sided turns the bases into values.
+    values at xi_m and xi_0.  The default block is every boundary.
+    _one_sided turns the bases into values.
     """
     m = model.num_segments
     xi, centers = model.breakpoints, model.centers
-    left = np.arange(m - 1 + wrap)
+    left = np.arange(m - 1 + wrap)[block]
     right = (left + 1) % m
     return (left, right,
             _derivative_basis(xi[left + 1] - centers[left], model.degree, k),

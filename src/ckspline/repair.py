@@ -5,9 +5,10 @@ rarely zero.  For each boundary, both neighbor segments are nudged toward
 the mean of their derivative values there by adding a degree-(2k+1)
 corrective polynomial whose derivatives up to order k vanish at the
 segment's opposite end.  Corrections are local: no other boundary sees any
-derivative of order <= k change, so all boundaries are handled as one batch:
-one read of the one-sided derivatives, one stack of Hermite systems (one per
-corrected segment side) and one batched solve.
+derivative of order <= k change, so the boundaries are handled a block at a
+time: one read of the block's one-sided derivatives, one stack of Hermite
+systems (one per corrected segment side) and one batched solve, which keeps
+the working memory the same for any number of segments.
 Requires spline degree >= 2k+1.
 """
 
@@ -28,6 +29,10 @@ __all__ = [
 ]
 
 _MAX_CONDITION = 1e12
+# boundaries per block: a block's bases, one-sided values and gathered
+# Hermite stack take about 1 MB at k = 3, whatever the number of segments;
+# smaller blocks let the fixed cost of each block's numpy calls show
+_BLOCK = 512
 
 
 class ConditioningError(ArithmeticError):
@@ -101,10 +106,12 @@ def repair_continuity(model: SplineModel, k: int, boundary_mode: str = "open"):
     """Zero the derivative jumps of order <= k at every boundary.
 
     Returns a repaired copy of the model plus a RepairReport.  Each boundary
-    contributes one corrector to each neighbor segment; all correctors are
-    built at once from the unrepaired model (they are independent by
-    construction).  Each segment adds the corrector for its left end before
-    the one for its right end, so results are bit-reproducible.  With cyclic
+    contributes one corrector to each neighbor segment; the correctors are
+    built from the unrepaired model (they are independent by construction),
+    a block of _BLOCK boundaries at a time, into one array.  Then each
+    segment adds the corrector for its left end before the one for its
+    right end, so results are bit-reproducible and do not depend on the
+    block size, and the jumps left are read a block at a time.  With cyclic
     boundary handling the wrap-around boundary aligns derivatives 1..k and
     leaves each endpoint value unchanged; periodic aligns the values too.
     """
@@ -119,31 +126,43 @@ def repair_continuity(model: SplineModel, k: int, boundary_mode: str = "open"):
         )
 
     xi, centers = model.breakpoints, model.centers
-    bases = _boundaries(model, k, boundary_mode != "open")
-    left, right = bases[:2]
-    left_vals, right_vals = _one_sided(bases, model.coefficients)
-    means = 0.5 * (left_vals + right_vals)
-    target_left, target_right = means - left_vals, means - right_vals
-    if boundary_mode == "cyclic":
-        # the wrap value is allowed to differ; only derivatives align
-        target_left[-1, 0] = target_right[-1, 0] = 0.0
-
-    # one system per corrected side: right[b]'s left end, then left[b]'s right end
-    sides = np.concatenate([right, left])
-    zeros = np.zeros_like(means)
-    corrections = _hermite(xi[sides], np.concatenate([target_right, zeros]),
-                           xi[sides + 1], np.concatenate([zeros, target_left]), centers[sides])
-    repaired = model.copy()
+    wrap = boundary_mode != "open"
+    count = model.num_segments - 1 + wrap
+    blocks = [slice(start, start + _BLOCK) for start in range(0, count, _BLOCK)]
     width = 2 * k + 2
-    repaired.coefficients[right, :width] += corrections[:right.size]
-    repaired.coefficients[left, :width] += corrections[right.size:]
+    # corrections[0, b] goes to right[b]'s left end, corrections[1, b] to left[b]'s right end
+    corrections = np.empty((2, count, width))
+    pre, means, post = (np.empty((count, k + 1)) for _ in range(3))
+    for block in blocks:
+        bases = _boundaries(model, k, wrap, block)
+        left, right = bases[:2]
+        left_vals, right_vals = _one_sided(bases, model.coefficients)
+        pre[block] = right_vals - left_vals
+        means[block] = 0.5 * (left_vals + right_vals)
+        target_left, target_right = means[block] - left_vals, means[block] - right_vals
+        if boundary_mode == "cyclic" and block.stop >= count:
+            # the wrap value is allowed to differ; only derivatives align
+            target_left[-1, 0] = target_right[-1, 0] = 0.0
+        # one system per corrected side: right[b]'s left end, then left[b]'s right end
+        sides = np.concatenate([right, left])
+        zeros = np.zeros_like(left_vals)
+        corrections[:, block] = _hermite(
+            xi[sides], np.concatenate([target_right, zeros]), xi[sides + 1],
+            np.concatenate([zeros, target_left]), centers[sides]).reshape(2, -1, width)
+    left = np.arange(count)
+    repaired = model.copy()
+    repaired.coefficients[(left + 1) % model.num_segments, :width] += corrections[0]
+    repaired.coefficients[left, :width] += corrections[1]
+    for block in blocks:
+        post_left, post_right = _one_sided(_boundaries(model, k, wrap, block),
+                                           repaired.coefficients)
+        post[block] = post_right - post_left
 
-    post_left, post_right = _one_sided(bases, repaired.coefficients)
     report = RepairReport(
         positions=tuple(xi[left + 1].tolist()),
-        pre_defects=right_vals - left_vals,
-        post_defects=post_right - post_left,
+        pre_defects=pre,
+        post_defects=post,
         mean_targets=means,
-        max_correction=float(np.abs(corrections).max(initial=0.0)),
+        max_correction=float(np.abs(corrections, out=corrections).max(initial=0.0)),
     )
     return repaired, report

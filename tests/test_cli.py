@@ -1,5 +1,6 @@
 import io
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from ckspline import (
     repair_continuity,
     save_model,
 )
+from ckspline import cli
 from ckspline.cli import main
 
 from conftest import benchmark_curve, model_from_global
@@ -450,21 +452,54 @@ def test_curve_round_trip_against_model(tmp_path):
                         rtol=1e-12, atol=1e-12)
 
 
-def test_curve_text_matches_savetxt_across_chunks(tmp_path):
-    # more rows than one formatting chunk; np.savetxt is the reference
+@pytest.mark.parametrize("breakpoints,resolution", [
+    ([0, 1, 2.5, 3, 3.5, 5, 5.25, 7], 3001),  # 2 segments per block: 4 blocks, the last of 1
+    (np.cumsum(np.append(0.0, np.linspace(0.5, 1.5, 600))), 33),  # 256 per block: 3 blocks
+])
+def test_curve_text_matches_savetxt_across_chunks(tmp_path, breakpoints, resolution):
+    # more rows than one formatting chunk and more segments than one block;
+    # np.savetxt is the reference for the text, and a whole-array linspace
+    # grid with one evaluate per order for the values
+    m = len(breakpoints) - 1
     rng = np.random.default_rng(3)
-    model = model_from_global([0, 1, 2.5, 3], 4, rng.normal(size=(3, 5)) * [1, 1e-9, 1e9, 1, -0.0],
+    model = model_from_global(breakpoints, 4, rng.normal(size=(m, 5)) * [1, 1e-9, 1e9, 1, -0.0],
                               domain_map=DomainMap(-0.5, 2.0))
+    assert m > cli._CURVE_ROWS // (resolution - 1)
     save_model(model, tmp_path / "model.json")
     assert main(["eval", "--model", str(tmp_path / "model.json"), "--out", str(tmp_path / "e"),
-                 "--k", "2", "--resolution", "3001"]) == 0
+                 "--k", "2", "--resolution", str(resolution)]) == 0
     text = (tmp_path / "e" / "curve.csv").read_text()
     rows = text.splitlines()[1:]
-    assert len(rows) == 3 * 3000 + 1
+    assert len(rows) == m * (resolution - 1) + 1
     table = np.array([[float(v) for v in row.split(",")] for row in rows])
     reference = io.StringIO()
     np.savetxt(reference, table, fmt="%.17g", delimiter=",")
     assert text == "x,f,d1,d2\n" + reference.getvalue()
+    xi = model.breakpoints
+    grid = np.linspace(xi[:-1], xi[1:], resolution, axis=1)
+    xs = model.domain_map.inverse(np.append(grid[0, 0], grid[:, 1:]))
+    expected = np.column_stack([xs] + [evaluate(model, xs, j) for j in range(3)])
+    assert table.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("segments,resolution", [(8 * 256, 33), (256, 8 * 32 + 1)])
+def test_curve_write_memory_does_not_grow_with_segments_or_resolution(tmp_path, segments,
+                                                                      resolution):
+    # curve.csv is built and written a block of segments at a time, with one
+    # formatting kernel for the file: 8 times the segments or 8 times the
+    # points per segment must not raise the peak of the first case
+    peaks = []
+    for m, points in ((256, 33), (segments, resolution)):
+        rng = np.random.default_rng(43)
+        model = SplineModel.from_breakpoints(np.arange(m + 1.0), 7, rng.normal(size=(m, 8)))
+        cli._write_curve(model, 3, points, tmp_path / "curve.csv")  # warm caches
+        tracemalloc.start()
+        try:
+            cli._write_curve(model, 3, points, tmp_path / "curve.csv")
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= peaks[0] + 16 * 1024
 
 
 def test_history_rows_satisfy_blend_identity(tmp_path):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -10,7 +12,8 @@ from ckspline import (
     repair_continuity,
     two_point_hermite,
 )
-from ckspline.model import rebase
+from ckspline import repair
+from ckspline.model import _boundaries, _one_sided, rebase
 from ckspline.repair import ConditioningError, _hermite
 
 from conftest import model_from_global
@@ -230,3 +233,94 @@ def test_repair_single_segment_periodic():
         wrap = eval_segment(repaired, 1, 0.0, j) - eval_segment(repaired, 1, 1.0, j)
         assert abs(wrap) < 1e-10
     assert report.pre_defects.shape == (1, 2)
+
+
+def per_side_repair(model, k, mode):
+    """repair_continuity as one two_point_hermite call per corrected side.
+
+    Every boundary's one-sided values come from one read over all
+    boundaries; each segment adds its left-end corrector, then its right-end
+    one.  Returns the coefficients, pre and post defects, means and the
+    largest correction.
+    """
+    xi, centers = model.breakpoints, model.centers
+    bases = _boundaries(model, k, mode != "open")
+    left, right = bases[:2]
+    left_vals, right_vals = _one_sided(bases, model.coefficients)
+    means = 0.5 * (left_vals + right_vals)
+    target_left, target_right = means - left_vals, means - right_vals
+    if mode == "cyclic":
+        target_left[-1, 0] = target_right[-1, 0] = 0.0
+    zeros = np.zeros(k + 1)
+    coeffs = model.coefficients.copy()
+    width = 2 * k + 2
+    left_ends = [two_point_hermite(xi[i], target, xi[i + 1], zeros, centers[i])
+                 for i, target in zip(right, target_right)]
+    right_ends = [two_point_hermite(xi[i], zeros, xi[i + 1], target, centers[i])
+                  for i, target in zip(left, target_left)]
+    for i, correction in zip(right, left_ends):
+        coeffs[i, :width] += correction
+    for i, correction in zip(left, right_ends):
+        coeffs[i, :width] += correction
+    post_left, post_right = _one_sided(bases, coeffs)
+    largest = np.abs(left_ends + right_ends).max(initial=0.0)
+    return coeffs, right_vals - left_vals, post_right - post_left, means, largest
+
+
+@pytest.mark.parametrize("mode", ["open", "cyclic", "periodic"])
+@pytest.mark.parametrize("uniform", [True, False])
+@pytest.mark.parametrize("last_block", [1, 5, 8])  # boundaries in the last block of 8
+def test_blocked_repair_equals_one_call_per_side_bit_for_bit(monkeypatch, mode, uniform,
+                                                             last_block):
+    # three blocks of boundaries: the last one holds one boundary, part of a
+    # block or a whole one, and in cyclic and periodic mode the wrap boundary
+    monkeypatch.setattr(repair, "_BLOCK", 8)
+    k = 2
+    m = 16 + last_block + (mode == "open")
+    rng = np.random.default_rng(31 + m)
+    lengths = np.ones(m) if uniform else 10.0 ** rng.uniform(-1, 1, m)
+    model = SplineModel.from_breakpoints(np.cumsum(np.append(-2.5, lengths)), 2 * k + 2,
+                                         rng.normal(size=(m, 2 * k + 3)))
+    repaired, report = repair_continuity(model, k, boundary_mode=mode)
+    coeffs, pre, post, means, largest = per_side_repair(model, k, mode)
+    assert len(report.positions) == 16 + last_block
+    assert repaired.coefficients.tobytes() == coeffs.tobytes()
+    assert report.pre_defects.tobytes() == pre.tobytes()
+    assert report.post_defects.tobytes() == post.tobytes()
+    assert report.mean_targets.tobytes() == means.tobytes()
+    assert report.max_correction == largest
+
+
+def test_repair_at_full_block_size_equals_one_call_per_side_bit_for_bit():
+    # the module's own block size, with one boundary in the last block
+    m = 2 * repair._BLOCK + 1
+    rng = np.random.default_rng(37)
+    model = SplineModel.from_breakpoints(np.cumsum(np.append(0.0, rng.uniform(0.5, 2.0, m))), 3,
+                                         rng.normal(size=(m, 4)))
+    repaired, report = repair_continuity(model, 1, boundary_mode="periodic")
+    coeffs, _, post, _, _ = per_side_repair(model, 1, "periodic")
+    assert repaired.coefficients.tobytes() == coeffs.tobytes()
+    assert report.post_defects.tobytes() == post.tobytes()
+
+
+def test_repair_working_memory_does_not_grow_with_segments():
+    # bases, one-sided values and Hermite systems are held a block of
+    # boundaries at a time: beyond the repaired model and report it returns,
+    # only the (2, B, 2k+2) corrections may grow with the boundary count B
+    k = 3
+    working, corrections = {}, {}
+    for m in (1024, 8 * 1024):
+        rng = np.random.default_rng(41)
+        model = SplineModel.from_breakpoints(np.arange(m + 1.0), 2 * k + 1,
+                                             rng.normal(size=(m, 2 * k + 2)))
+        repair_continuity(model, k)  # warm caches outside the trace
+        tracemalloc.start()
+        try:
+            result = repair_continuity(model, k)
+            current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        del result
+        working[m] = peak - current
+        corrections[m] = 2 * (m - 1) * (2 * k + 2) * 8
+    assert working[8 * 1024] - working[1024] <= corrections[8 * 1024] - corrections[1024]
