@@ -216,7 +216,9 @@ def fit_sweep(samples: SampleSet, config: TrainConfig, lambdas) -> list[Training
 
     The runs share everything but lam: validation, the scaled problem, the
     initial coefficients and one LossEngine are set up once.  The engine
-    assembles the quadratic forms of all L runs in one pass.  Each epoch
+    assembles the quadratic forms of all L runs in one pass, before the
+    initial coefficients; an operator that overflows a double (the basis
+    powers of wide unscaled segments) raises ValueError.  Each epoch
     copies the (L, m, d+1) coefficient stack into a ring, takes one stacked
     gradient, writes each run's two dot products for the expanded value, and
     makes one unchecked _update.  The update is elementwise and the stacked
@@ -256,6 +258,17 @@ def fit_sweep(samples: SampleSet, config: TrainConfig, lambdas) -> list[Training
         replace(loss_cfg, lam=lam)  # LossConfig validates lam
 
     template, _ = make_scaled_problem(samples, config.segments, config.degree, config.scaling)
+    # data near the float limit may overflow the operator's assembly; that is
+    # reported below or by the training loop, not warned about
+    with np.errstate(over="ignore", invalid="ignore"):
+        engine = LossEngine(template, samples, loss_cfg)
+        form = engine._forms(lambdas)
+    if not np.isfinite(form.rows).all():
+        width = float(np.diff(template.breakpoints).max())
+        raise ValueError(
+            f"the loss operator overflows a double: degree {config.degree} basis powers over "
+            f"segments {width:.3g} wide with scaling {config.scaling!r}; use scaling "
+            "'unit_segments' or a narrower sample range")
     deficient: tuple[int, ...] = ()
     if config.init == "least_squares":
         coeffs, deficient = _least_squares_coefficients(template, samples)
@@ -298,11 +311,8 @@ def fit_sweep(samples: SampleSet, config: TrainConfig, lambdas) -> list[Training
                         freeze(run, epoch, None, batch[j, run])
 
     # divergence is detected via isfinite checks, so silence the transient
-    # overflow warnings a runaway run (or data near the float limit, in the
-    # operator's assembly) produces on its way there
+    # overflow warnings a runaway run produces on its way there
     with np.errstate(over="ignore", invalid="ignore"):
-        engine = LossEngine(template, samples, loss_cfg)
-        form = engine._forms(lambdas)
         for start in range(0, config.epochs, len(ring)):
             if not live.any():
                 break

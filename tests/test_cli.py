@@ -265,6 +265,27 @@ def test_non_finite_least_squares_start_is_config_error(tmp_path, capsys, verb):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("init", ["least_squares", "zeros"])
+def test_overflowing_basis_powers_are_a_config_error(tmp_path, capfd, init):
+    # unscaled segments 2.5e99 wide: degree-7 powers overflow a double.  The
+    # least-squares start used to print LAPACK's DLASCL lines on the stderr
+    # file descriptor and blame the SVD, the zero start to report a
+    # divergence at epoch 0; RuntimeWarnings are errors under pytest
+    xs = np.linspace(0.0, 1e100, 64)
+    data = tmp_path / "wide.csv"
+    np.savetxt(data, np.column_stack([xs, np.sin(xs)]), delimiter=",", header="x,y", comments="")
+    out = tmp_path / "run"
+    assert main(["fit", "--input", str(data), "--out", str(out), "--scaling", "none",
+                 "--segments", "4", "--degree", "7", "--k", "1", "--init", init]) == 1
+    captured = capfd.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: the loss operator overflows a double: degree 7 basis powers over segments "
+        "2.5e+99 wide with scaling 'none'; use scaling 'unit_segments' or a narrower sample "
+        "range\n")
+    assert not out.exists()
+
+
 def test_eval_malformed_model_is_config_error(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text('{"degree": 3}\n')
