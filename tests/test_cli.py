@@ -476,6 +476,11 @@ def test_curve_round_trip_against_model(tmp_path):
 @pytest.mark.parametrize("breakpoints,resolution", [
     ([0, 1, 2.5, 3, 3.5, 5, 5.25, 7], 3001),  # 2 segments per block: 4 blocks, the last of 1
     (np.cumsum(np.append(0.0, np.linspace(0.5, 1.5, 600))), 33),  # 256 per block: 3 blocks
+    # a segment 5e-324 wide in the second block: its grid step underflows to
+    # 0, which switches linspace to another formula for every segment of the
+    # array, and that formula rounds differently in the first block's small,
+    # non-power-of-2 widths
+    (np.concatenate([-(3.0 ** -np.arange(300)), [0.0, 5e-324], 1.0 + np.arange(300)]), 34),
 ])
 def test_curve_text_matches_savetxt_across_chunks(tmp_path, breakpoints, resolution):
     # more rows than one formatting chunk and more segments than one block;
