@@ -303,7 +303,7 @@ def test_repair_at_full_block_size_equals_one_call_per_side_bit_for_bit():
     assert report.post_defects.tobytes() == post.tobytes()
 
 
-def test_repair_working_memory_does_not_grow_with_segments():
+def test_repair_working_memory_grows_only_by_its_corrections():
     # bases, one-sided values and Hermite systems are held a block of
     # boundaries at a time: beyond the repaired model and report it returns,
     # only the (2, B, 2k+2) corrections may grow with the boundary count B
