@@ -473,39 +473,42 @@ def test_curve_round_trip_against_model(tmp_path):
                         rtol=1e-12, atol=1e-12)
 
 
-@pytest.mark.parametrize("breakpoints,resolution", [
-    ([0, 1, 2.5, 3, 3.5, 5, 5.25, 7], 3001),  # 2 segments per block: 4 blocks, the last of 1
-    (np.cumsum(np.append(0.0, np.linspace(0.5, 1.5, 600))), 33),  # 256 per block: 3 blocks
-    # a segment 5e-324 wide in the second block: its grid step underflows to
-    # 0, which switches linspace to another formula for every segment of the
-    # array, and that formula rounds differently in the first block's small,
-    # non-power-of-2 widths
-    (np.concatenate([-(3.0 ** -np.arange(300)), [0.0, 5e-324], 1.0 + np.arange(300)]), 34),
-])
-def test_curve_text_matches_savetxt_across_chunks(tmp_path, breakpoints, resolution):
+def test_curve_text_matches_savetxt_across_chunks(tmp_path):
     # more rows than one formatting chunk and more segments than one block;
     # np.savetxt is the reference for the text, and a whole-array linspace
     # grid with one evaluate per order for the values
-    m = len(breakpoints) - 1
-    rng = np.random.default_rng(3)
-    model = model_from_global(breakpoints, 4, rng.normal(size=(m, 5)) * [1, 1e-9, 1e9, 1, -0.0],
-                              domain_map=DomainMap(-0.5, 2.0))
-    assert m > cli._CURVE_ROWS // (resolution - 1)
-    save_model(model, tmp_path / "model.json")
-    assert main(["eval", "--model", str(tmp_path / "model.json"), "--out", str(tmp_path / "e"),
-                 "--k", "2", "--resolution", str(resolution)]) == 0
-    text = (tmp_path / "e" / "curve.csv").read_text()
-    rows = text.splitlines()[1:]
-    assert len(rows) == m * (resolution - 1) + 1
-    table = np.array([[float(v) for v in row.split(",")] for row in rows])
-    reference = io.StringIO()
-    np.savetxt(reference, table, fmt="%.17g", delimiter=",")
-    assert text == "x,f,d1,d2\n" + reference.getvalue()
-    xi = model.breakpoints
-    grid = np.linspace(xi[:-1], xi[1:], resolution, axis=1)
-    xs = model.domain_map.inverse(np.append(grid[0, 0], grid[:, 1:]))
-    expected = np.column_stack([xs] + [evaluate(model, xs, j) for j in range(3)])
-    assert table.tobytes() == expected.tobytes()
+    cases = [
+        ([0, 1, 2.5, 3, 3.5, 5, 5.25, 7], 3001),  # 2 segments per block: 4 blocks, the last of 1
+        (np.cumsum(np.append(0.0, np.linspace(0.5, 1.5, 600))), 33),  # 256 per block: 3 blocks
+        # a segment 5e-324 wide in the second block: its grid step underflows
+        # to 0, which switches linspace to another formula for every segment
+        # of the array, and that formula rounds differently in the first
+        # block's small, non-power-of-2 widths
+        (np.concatenate([-(3.0 ** -np.arange(300)), [0.0, 5e-324], 1.0 + np.arange(300)]), 34),
+    ]
+    for case, (breakpoints, resolution) in enumerate(cases):
+        m = len(breakpoints) - 1
+        rng = np.random.default_rng(3)
+        model = model_from_global(breakpoints, 4,
+                                  rng.normal(size=(m, 5)) * [1, 1e-9, 1e9, 1, -0.0],
+                                  domain_map=DomainMap(-0.5, 2.0))
+        assert m > cli._CURVE_ROWS // (resolution - 1)
+        save_model(model, tmp_path / f"model{case}.json")
+        assert main(["eval", "--model", str(tmp_path / f"model{case}.json"),
+                     "--out", str(tmp_path / f"e{case}"), "--k", "2",
+                     "--resolution", str(resolution)]) == 0
+        text = (tmp_path / f"e{case}" / "curve.csv").read_text()
+        rows = text.splitlines()[1:]
+        assert len(rows) == m * (resolution - 1) + 1
+        table = np.array([[float(v) for v in row.split(",")] for row in rows])
+        reference = io.StringIO()
+        np.savetxt(reference, table, fmt="%.17g", delimiter=",")
+        assert text == "x,f,d1,d2\n" + reference.getvalue()
+        xi = model.breakpoints
+        grid = np.linspace(xi[:-1], xi[1:], resolution, axis=1)
+        xs = model.domain_map.inverse(np.append(grid[0, 0], grid[:, 1:]))
+        expected = np.column_stack([xs] + [evaluate(model, xs, j) for j in range(3)])
+        assert table.tobytes() == expected.tobytes()
 
 
 @pytest.mark.parametrize("segments,resolution", [(8 * 256, 33), (256, 8 * 32 + 1)])
