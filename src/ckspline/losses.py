@@ -16,19 +16,21 @@ Segment i only meets segments i-1 and i+1 (and, across the wrap, segment m-1
 meets segment 0), so the Hessian H is block-tridiagonal with one corner
 block.  LossEngine assembles H and the linear term once, from the samples,
 the boundary derivative bases and the strain tables; the gradient is then a
-block mat-vec whose cost does not depend on the number of samples.  H,
-linear and constant are affine in lam, so the forms of a whole lambda sweep
-are assembled in one pass and stacked as an (L, m) grid of block rows, and
-one matmul over that grid serves every run.
+block mat-vec whose cost does not depend on the number of samples.  H and
+linear are affine in lam, so the forms of a whole lambda sweep are
+assembled in one pass and stacked as an (L, m) grid of block rows, and one
+matmul over that grid serves every run.
 
 Loss values come from the residual form instead (l2 from the sample
 residuals, ck from the jumps at every boundary in one batch, strain from its
 per-segment tables): the expanded form above loses digits when l2 is tiny.
 The training loop therefore takes the residual-form breakdown only at
 record epochs, over all of a block's record epochs and every run of a
-sweep at once, and tests each epoch's loss for finiteness, a block of
-epochs at a time, through the cheap expanded value.  fd_gradient differentiates breakdown
-numerically and so stays an oracle independent of the assembled operator.
+sweep at once.  A run diverges at the first epoch whose g.c (the gradient
+it already has, dotted with the coefficients) is not finite, or whose
+recorded residual total is not finite.  fd_gradient differentiates
+breakdown numerically and so stays an oracle independent of the assembled
+operator.
 
 All three terms are evaluated in internal (scaled) coordinates.  Functions
 here are pure; LossEngine only caches tables that depend on breakpoints and
@@ -179,50 +181,32 @@ class _Forms(NamedTuple):
     """The quadratic forms of L runs that differ only in lam, stacked.
 
     rows holds the (L, m, w, 3w) block rows in one C-ordered array,
-    neighbours the (m, 3) coefficient rows each block row multiplies, linear
-    and constant the (L, m, w) and (L,) stacks.  The methods take an
-    (L, m, w) coefficient stack, one row per lam in order.  gradients() is
-    one stacked matmul, which makes the same BLAS call on a contiguous
-    (w, 3w) operand for every (run, segment) item, so a run's gradient is
-    the same bits whatever it is stacked with.
+    neighbours the (m, 3) coefficient rows each block row multiplies, and
+    linear the (L, m, w) stack.  gradients() takes an (L, m, w) coefficient
+    stack, one row per lam in order.  It is one stacked matmul, which makes
+    the same BLAS call on a contiguous (w, 3w) operand for every (run,
+    segment) item, so a run's gradient is the same bits whatever it is
+    stacked with.  The training loop tests each run's g.c, the dot product
+    of this gradient with the coefficients, for finiteness.
     """
 
     rows: np.ndarray
     neighbours: np.ndarray
     linear: np.ndarray
-    constant: np.ndarray
 
     def gradients(self, coeffs: np.ndarray) -> np.ndarray:
         gathered = coeffs.take(self.neighbours, axis=1).reshape(*coeffs.shape[:2], -1, 1)
         return (self.rows @ gathered)[..., 0] - self.linear
-
-    def dot_products(self, coeffs: np.ndarray, grads: np.ndarray, out: np.ndarray) -> None:
-        """Write g.c and linear.c of each run into out[0] and out[1], each (L, 1, 1).
-
-        g is the gradient at c.  The training loop buffers these two dot
-        products per epoch and reads the expanded totals off a block of them
-        at once.
-        """
-        c = coeffs.reshape(len(coeffs), -1, 1)
-        np.matmul(grads.reshape(len(coeffs), 1, -1), c, out=out[0])
-        np.matmul(self.linear.reshape(len(coeffs), 1, -1), c, out=out[1])
-
-    def totals(self, products: np.ndarray) -> np.ndarray:
-        """total = 0.5*c.g - 0.5*linear.c + constant from (..., 2, L, 1, 1) dot_products.
-
-        Carries absolute rounding error on the scale of the constant term: a
-        finiteness test, not a loss value.
-        """
-        return 0.5 * (products[..., 0, :, 0, 0] - products[..., 1, :, 0, 0]) + self.constant
 
 
 class LossEngine:
     """Precomputed quadratic form of the blended loss for one model and sample set.
 
     The constructor builds the tables that depend on the breakpoints and
-    samples.  The Hessian H of total, the linear term and the constant, so
-    that total = 0.5 * c.H.c - linear.c + constant, are assembled on first
-    use, since a sweep assembles its own stack instead.  H is
+    samples.  The Hessian H of total and the linear term, so that
+    total = 0.5 * c.H.c - linear.c + constant, are assembled on first use,
+    since a sweep assembles its own stack instead; the constant is worked
+    out on its own, as lam * m / n * (ys @ ys).  H is
     block-tridiagonal: m diagonal blocks H[i, i], m-1 neighbour blocks
     H[i, i+1] (with H[i+1, i] their transposes) and, in cyclic/periodic
     mode, one corner block H[m-1, 0], each (d+1, d+1).  The assembly is
@@ -260,7 +244,7 @@ class LossEngine:
 
     @property
     def constant(self) -> float:
-        return float(self._form.constant[0])
+        return self.config.lam * self.model.num_segments / self.ys.size * float(self.ys @ self.ys)
 
     def _forms(self, lams) -> _Forms:
         """The stacked forms of this engine's problem at each blend weight in lams.
@@ -278,7 +262,6 @@ class LossEngine:
                                            for p in range(2 * d + 1)), m)
         diag = l2_scale * moments[:, np.add.outer(np.arange(width), np.arange(width))]
         linear = l2_scale[..., 0] * _segment_sums(self.seg, (self.ys[:, None] * self.powers).T, m)
-        constant = lam.ravel() * m / self.ys.size * float(self.ys @ self.ys)
         if cfg.strain_weight != 0.0 and self.strain_tables is not None:
             diag[..., 2:, 2:] += 2.0 * cfg.strain_weight * self.strain_tables
 
@@ -301,7 +284,7 @@ class LossEngine:
         rows[..., 2, :] = after
         i = np.arange(m)
         return _Forms(rows.reshape(len(lam), m, width, 3 * width),
-                      np.stack([(i - 1) % m, i, (i + 1) % m], axis=1), linear, constant)
+                      np.stack([(i - 1) % m, i, (i + 1) % m], axis=1), linear)
 
     def breakdown(self) -> LossBreakdown:
         return LossBreakdown(*self._breakdowns(self.model.coefficients[None], [self.config.lam])[0])

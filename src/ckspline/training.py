@@ -1,12 +1,14 @@
 """Full-batch training loop plus preprocessing and initialization.
 
-Each epoch takes the blended loss's analytic gradient, optionally the
-degree-based gradient regularization, and one optimizer update, for every
-lambda of a sweep at once, and keeps a copy of the coefficients it started
-from.  After a block of epochs the loss is tested for finiteness, and the
-exact loss values of the block's record epochs are computed from those
-copies for all lambdas at once.  Runs are deterministic; divergence
-(non-finite loss or gradient) stops a run early and is reported, not raised.
+Each epoch takes the blended loss's analytic gradient g, its dot product
+g.c with the coefficients c, optionally the degree-based gradient
+regularization, and one optimizer update, for every lambda of a sweep at
+once, and keeps a copy of the coefficients it started from.  After a block
+of epochs the g.c products are tested for finiteness, and the exact loss
+values of the block's record epochs are computed from those copies for all
+lambdas at once.  Runs are deterministic.  A run diverges at the first
+epoch whose g.c is not finite, or whose recorded residual total is not
+finite; that stops it early and is reported, not raised.
 """
 
 from __future__ import annotations
@@ -202,11 +204,11 @@ def fit(samples: SampleSet, config: TrainConfig) -> TrainingReport:
     """Run the training loop for exactly config.epochs iterations.
 
     The one-run case of fit_sweep, at config.loss.lam.  Every epoch takes
-    the gradient from the engine's precomputed operator, and every epoch's
-    loss is tested for finiteness through the expanded value read off that
-    gradient.  The exact residual-form breakdown is taken only at record
-    epochs (every record_every epochs) and once after the final update;
-    recorded rows always satisfy the loss-blend identity.
+    the gradient g from the engine's precomputed operator.  The exact
+    residual-form breakdown is taken only at record epochs (every
+    record_every epochs) and once after the final update; recorded rows
+    always satisfy the loss-blend identity.  The run diverges at the first
+    epoch whose g.c is not finite, or whose recorded total is not finite.
     """
     return fit_sweep(samples, config, [config.loss.lam])[0]
 
@@ -220,19 +222,20 @@ def fit_sweep(samples: SampleSet, config: TrainConfig, lambdas) -> list[Training
     initial coefficients; an operator that overflows a double (the basis
     powers of wide unscaled segments) raises ValueError.  Each epoch
     copies the (L, m, d+1) coefficient stack into a ring, takes one stacked
-    gradient, writes each run's two dot products for the expanded value, and
-    makes one unchecked _update.  The update is elementwise and the stacked
-    gradient is one matmul that treats every (run, segment) block as a single
-    run's, so a run's bits do not depend on the others.
+    gradient g, writes each run's g.c, and makes one unchecked _update.  The
+    update is elementwise and the stacked gradient is one matmul that treats
+    every (run, segment) block as a single run's, so a run's bits do not
+    depend on the others.
 
-    The ring holds the stack at each epoch of a block of at most _BLOCK
-    epochs.  After the block, one finiteness test over the buffered dot
-    products freezes each live run that failed at its first bad epoch, with
-    its coefficients and first non-finite gradient entry taken from that
-    epoch's ring row.  Then _breakdowns runs over the ring's record epochs,
-    which gives each run the bits of its own breakdown().  A non-finite
-    recorded total freezes its run at that epoch, which wins over any later
-    freeze.
+    A run diverges at the first epoch whose g.c is not finite, or whose
+    recorded residual total is not finite.  The ring holds the stack at each
+    epoch of a block of at most _BLOCK epochs.  After the block, one
+    finiteness test over the buffered g.c products freezes each live run
+    that failed at its first bad epoch, with its coefficients and first
+    non-finite gradient entry taken from that epoch's ring row.  Then
+    _breakdowns runs over the ring's record epochs, which gives each run the
+    bits of its own breakdown().  A non-finite recorded total freezes its
+    run at that epoch, which wins over any later freeze.
 
     A frozen run stays in the stack and keeps training, out of the tests and
     the records.  Its report uses only its saved copy and the rows recorded
@@ -282,9 +285,9 @@ def fit_sweep(samples: SampleSet, config: TrainConfig, lambdas) -> list[Training
     divergences: list[tuple[int, tuple[int, int] | None] | None] = [None] * len(lambdas)
     live = np.ones(len(lambdas), dtype=bool)  # the runs not yet diverged
     saved: dict[int, np.ndarray] = {}  # the coefficients of each run where it diverged
-    # the stack at each epoch of the block, and each epoch's g.c and linear.c
+    # the stack at each epoch of the block, and each epoch's g.c
     ring = np.empty((max(1, min(_BLOCK, _RECORD_BYTES // stack.nbytes)),) + stack.shape)
-    products = np.empty((len(ring), 2, len(lambdas), 1, 1))
+    products = np.empty((len(ring), len(lambdas), 1, 1))
     # record epochs per _breakdowns pass, so that its gathered sample tables stay small
     per_record = len(lambdas) * max(len(samples), config.segments) * (config.degree + 1) * 8
     chunk = max(1, _RECORD_BYTES // per_record)
@@ -320,11 +323,12 @@ def fit_sweep(samples: SampleSet, config: TrainConfig, lambdas) -> list[Training
             for row in range(count):
                 ring[row] = stack
                 grads = form.gradients(stack)
-                form.dot_products(stack, grads, products[row])
+                np.matmul(grads.reshape(len(stack), 1, -1), stack.reshape(len(stack), -1, 1),
+                          out=products[row])
                 if reg is not None:
                     grads *= reg
                 _update(state, config.optimizer, stack, grads)
-            bad = ~np.isfinite(form.totals(products[:count])) & live
+            bad = ~np.isfinite(products[:count, :, 0, 0]) & live
             for run in np.flatnonzero(bad.any(axis=0)).tolist():
                 row = int(bad[:, run].argmax())
                 freeze(run, start + row, _first_non_finite(form.gradients(ring[row])[run]),

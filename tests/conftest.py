@@ -52,14 +52,14 @@ def reference_fit(samples, config, lam):
     """fit() at lam as a plain loop of public calls, one run, nothing stacked.
 
     Returns the history, the final coefficients and the divergence epoch,
-    segment and power.  A run diverges at the first epoch whose expanded
-    loss value (read off the gradient) or recorded total is not finite.
+    segment and power.  A run diverges at the first epoch whose g.c (the
+    gradient dotted with the coefficients) or recorded total is not finite.
     """
     model, _ = make_scaled_problem(samples, config.segments, config.degree, config.scaling)
     if config.init == "least_squares":
         model = least_squares_init(model, samples)
     engine = LossEngine(model, samples, replace(config.loss, lam=lam))
-    coeffs, linear = model.coefficients, engine.linear.ravel()
+    coeffs = model.coefficients
     state = init_state(config.optimizer, coeffs.shape)
     history = []
 
@@ -72,8 +72,7 @@ def reference_fit(samples, config, lam):
     with np.errstate(over="ignore", invalid="ignore"):
         for epoch in range(config.epochs):
             grads = engine.gradient()
-            value = 0.5 * (grads.ravel() @ coeffs.ravel() - linear @ coeffs.ravel())
-            if not math.isfinite(value + engine.constant):
+            if not math.isfinite(grads.ravel() @ coeffs.ravel()):
                 bad = np.argwhere(~np.isfinite(grads))
                 segment, power = (int(bad[0, 0]) + 1, int(bad[0, 1])) if len(bad) else (None, None)
                 return history, coeffs, (epoch, segment, power)

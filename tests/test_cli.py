@@ -265,6 +265,29 @@ def test_non_finite_least_squares_start_is_config_error(tmp_path, capsys, verb):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("verb, lambdas", [("fit", ["--lambda", "0.5"]),
+                                            ("sweep", ["--lambdas", "1,0.5,0"])])
+def test_targets_whose_squares_overflow_train_to_the_end(tmp_path, capfd, recwarn, verb,
+                                                         lambdas):
+    # sum(y**2) overflows a double, but g.c and the recorded totals stay
+    # finite, so no lambda diverges and no warning is printed
+    xs = np.linspace(0.0, 16.0, 64)
+    data = tmp_path / "huge.csv"
+    np.savetxt(data, np.column_stack([xs, 1e154 * (1 + xs / 16)]), delimiter=",",
+               header="x,y", comments="")
+    out = tmp_path / "run"
+    assert main([verb, "--input", str(data), "--out", str(out), "--init", "least_squares",
+                 "--segments", "8", "--degree", "1", "--k", "0", "--optimizer", "sgd",
+                 "--lr", "0.1", "--epochs", "10", *lambdas]) == 0
+    assert "diverged" not in capfd.readouterr().out and len(recwarn) == 0
+    histories = sorted(out.glob("**/history.csv"))
+    assert len(histories) == (1 if verb == "fit" else 3)
+    for path in histories:
+        rows = path.read_text().splitlines()[1:]
+        assert [row.split(",")[0] for row in rows] == ["0", "10"]
+        assert np.isfinite([[float(v) for v in row.split(",")] for row in rows]).all()
+
+
 @pytest.mark.parametrize("init", ["least_squares", "zeros"])
 def test_overflowing_basis_powers_are_a_config_error(tmp_path, capfd, init):
     # unscaled segments 2.5e99 wide: degree-7 powers overflow a double.  The

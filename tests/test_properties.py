@@ -124,14 +124,12 @@ def test_breakdown_blend_identity(problem):
     bd = engine.breakdown()
     blend = config.lam * bd.l2 + (1.0 - config.lam) * bd.ck + config.strain_weight * bd.strain
     assert bd.total == pytest.approx(blend, rel=1e-12, abs=1e-300)
-    # the cheap expanded value the training loop tests for finiteness agrees
-    # with the residual form up to rounding on the scale of its largest term
+    # the gradient form agrees with the residual form, 2*total = g.c -
+    # linear.c + 2*constant, up to rounding on the scale of its largest term
     scale = 1.0 + engine.constant + bd.total
-    form, coeffs = engine._forms([config.lam]), model.coefficients[None]
-    products = np.empty((2, 1, 1, 1))
-    form.dot_products(coeffs, form.gradients(coeffs), products)
-    expanded = form.totals(products)[0]
-    assert expanded == pytest.approx(bd.total, abs=1e-9 * scale)
+    coeffs = model.coefficients.ravel()
+    expanded = engine.gradient().ravel() @ coeffs - engine.linear.ravel() @ coeffs
+    assert expanded + 2.0 * engine.constant == pytest.approx(2.0 * bd.total, abs=2e-9 * scale)
 
 
 def solo_breakdown(engine, coeffs, lam):

@@ -411,7 +411,7 @@ def record_epoch_divergence(record_every):
 @pytest.mark.parametrize("record_every, epoch", [(9, 279), (10, 280)])
 def test_fit_sweep_divergence_on_a_record_epoch(record_every, epoch):
     # the recorded total at epoch 279 (a multiple of 9) overflows one epoch
-    # before the expanded value does; a record epoch freezes the run at the
+    # before g.c does; a record epoch freezes the run at the
     # stack it recorded, even when its block tests clean until later
     samples, config = record_epoch_divergence(record_every)
     [report] = assert_matches_reference(samples, config, [0.5])
@@ -420,21 +420,22 @@ def test_fit_sweep_divergence_on_a_record_epoch(record_every, epoch):
     assert report.history[-1].epoch == 270
 
 
-def test_fit_sweep_expanded_test_wins_over_a_finite_record():
-    # sum(y**2) overflows the expanded value's constant term while the
-    # least-squares residuals stay small: epoch 0's test freezes the runs,
-    # and its record pass, finite, adds no row for them
+def test_fit_sweep_runs_on_when_the_sum_of_squared_targets_overflows():
+    # sum(y**2) overflows a double while the least-squares residuals, and
+    # so g.c and the recorded totals, stay finite: no run diverges
     xs = np.linspace(0, 16, 64)
     samples = SampleSet(xs, 1e154 * (1 + xs / 16))
     config = TrainConfig(segments=8, degree=1, epochs=10, loss=LossConfig(k=0),
                          optimizer=OptimizerConfig("sgd", 0.1), init="least_squares")
-    with np.errstate(over="ignore"):  # reference_fit's engine assembles the constant
-        swept = assert_matches_reference(samples, config, [1.0, 0.5])
-    assert all(r.diverged_epoch == 0 and r.history == [] for r in swept)
+    swept = assert_matches_reference(samples, config, [1.0, 0.5])
+    for report in swept:
+        assert not report.diverged
+        assert [row.epoch for row in report.history] == [0, 10]
+        assert np.isfinite(np.array(report.history, dtype=float)).all()
 
 
 def test_fit_sweep_expanded_test_wins_on_a_record_epoch_with_a_live_run():
-    # lambda 1's expanded value overflows at epoch 127 while its recorded
+    # lambda 1's g.c overflows at epoch 127 while its recorded
     # total there is still finite; the run gets no row at 127, and lambda 0
     # records on
     xs = np.linspace(0, 1, 97)
