@@ -186,8 +186,9 @@ class _Forms(NamedTuple):
     stack, one row per lam in order.  It is one stacked matmul, which makes
     the same BLAS call on a contiguous (w, 3w) operand for every (run,
     segment) item, so a run's gradient is the same bits whatever it is
-    stacked with.  The training loop tests each run's g.c, the dot product
-    of this gradient with the coefficients, for finiteness.
+    stacked with.  The training loop dots each run's gradient g with its
+    coefficients c: a run diverges at the first epoch whose g.c is not
+    finite, or whose recorded residual total is not finite.
     """
 
     rows: np.ndarray
@@ -206,7 +207,7 @@ class LossEngine:
     samples.  The Hessian H of total and the linear term, so that
     total = 0.5 * c.H.c - linear.c + constant, are assembled on first use,
     since a sweep assembles its own stack instead; the constant is worked
-    out on its own, as lam * m / n * (ys @ ys).  H is
+    out on its own.  H is
     block-tridiagonal: m diagonal blocks H[i, i], m-1 neighbour blocks
     H[i, i+1] (with H[i+1, i] their transposes) and, in cyclic/periodic
     mode, one corner block H[m-1, 0], each (d+1, d+1).  The assembly is

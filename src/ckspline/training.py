@@ -208,7 +208,8 @@ def fit(samples: SampleSet, config: TrainConfig) -> TrainingReport:
     residual-form breakdown is taken only at record epochs (every
     record_every epochs) and once after the final update; recorded rows
     always satisfy the loss-blend identity.  The run diverges at the first
-    epoch whose g.c is not finite, or whose recorded total is not finite.
+    epoch whose g.c is not finite, or whose recorded residual total is not
+    finite.
     """
     return fit_sweep(samples, config, [config.loss.lam])[0]
 
