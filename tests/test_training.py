@@ -411,8 +411,8 @@ def record_epoch_divergence(record_every):
 @pytest.mark.parametrize("record_every, epoch", [(9, 279), (10, 280)])
 def test_fit_sweep_divergence_on_a_record_epoch(record_every, epoch):
     # the recorded total at epoch 279 (a multiple of 9) overflows one epoch
-    # before g.c does; a record epoch freezes the run at the
-    # stack it recorded, even when its block tests clean until later
+    # before g.c does; a record epoch freezes the run at the stack it
+    # recorded, even when its block tests clean until later
     samples, config = record_epoch_divergence(record_every)
     [report] = assert_matches_reference(samples, config, [0.5])
     assert (report.diverged_epoch, report.diverged_segment, report.diverged_power) == (
@@ -435,9 +435,8 @@ def test_fit_sweep_runs_on_when_the_sum_of_squared_targets_overflows():
 
 
 def test_fit_sweep_expanded_test_wins_on_a_record_epoch_with_a_live_run():
-    # lambda 1's g.c overflows at epoch 127 while its recorded
-    # total there is still finite; the run gets no row at 127, and lambda 0
-    # records on
+    # lambda 1's g.c overflows at epoch 127 while its recorded total there
+    # is still finite; the run gets no row at 127, and lambda 0 records on
     xs = np.linspace(0, 1, 97)
     config = TrainConfig(segments=3, degree=3, epochs=200,
                          loss=LossConfig(k=3, boundary_mode="cyclic", strain_weight=1.0),
