@@ -28,9 +28,10 @@ The training loop therefore takes the residual-form breakdown only at
 record epochs, over all of a block's record epochs and every run of a
 sweep at once.  A run diverges at the first epoch whose g.c (the gradient
 it already has, dotted with the coefficients) is not finite, or whose
-recorded residual total is not finite.  fd_gradient differentiates
-breakdown numerically and so stays an oracle independent of the assembled
-operator.
+recorded residual total is not finite.  fd_gradient moves each
+coefficient by +h and by -h and takes the residual-form totals of all those
+copies in stacked passes, each run with the bits of its own breakdown(), so
+it stays an oracle independent of the assembled operator.
 
 All three terms are evaluated in internal (scaled) coordinates.  Functions
 here are pure; LossEngine only caches tables that depend on breakpoints and
@@ -63,6 +64,10 @@ __all__ = [
 ]
 
 BOUNDARY_MODES = ("open", "cyclic", "periodic")
+# a stacked residual pass (_breakdowns) gathers an (n, d+1) sample table for
+# each coefficient set; the training loop's record pass and fd_gradient size
+# their passes so that these tables stay within about _RECORD_BYTES
+_RECORD_BYTES = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -287,6 +292,11 @@ class LossEngine:
         return _Forms(rows.reshape(len(lam), m, width, 3 * width),
                       np.stack([(i - 1) % m, i, (i + 1) % m], axis=1), linear)
 
+    def _pass_runs(self) -> int:
+        """Coefficient sets per _breakdowns pass whose gathered tables fit _RECORD_BYTES."""
+        m, width = self.model.coefficients.shape
+        return max(1, _RECORD_BYTES // (max(self.ys.size, m) * width * 8))
+
     def breakdown(self) -> LossBreakdown:
         return LossBreakdown(*self._breakdowns(self.model.coefficients[None], [self.config.lam])[0])
 
@@ -347,18 +357,32 @@ def gradient(model: SplineModel, samples: SampleSet, config: LossConfig) -> np.n
 
 def fd_gradient(model: SplineModel, samples: SampleSet, config: LossConfig,
                 h: float = 1e-6) -> np.ndarray:
-    """Central finite differences of the total loss, one coefficient at a time."""
-    if not h > 0.0:
-        raise ValueError("step h must be > 0")
+    """Central finite differences of the total loss, for every coefficient.
+
+    Entry (i, j) is (plus - minus) / (2h), where plus and minus are the
+    residual-form totals with coefficient (i, j) moved by +h and by -h.
+    The 2 m (d+1) perturbed copies of the coefficients are stacked and
+    evaluated by _breakdowns, in passes whose gathered sample tables stay
+    within about _RECORD_BYTES.  A run's row has the bits of its own
+    breakdown(), so the result is that of moving one coefficient at a time;
+    model.coefficients is only read.  h must be finite and > 0.
+    """
+    if not (math.isfinite(h) and h > 0.0):
+        raise ValueError("step h must be finite and > 0")
     engine = LossEngine(model, samples, config)
-    coeffs = model.coefficients
-    out = np.zeros_like(coeffs)
-    for i, j in np.ndindex(coeffs.shape):
-        orig = coeffs[i, j]
-        coeffs[i, j] = orig + h
-        plus = engine.breakdown().total
-        coeffs[i, j] = orig - h
-        minus = engine.breakdown().total
-        coeffs[i, j] = orig
-        out[i, j] = (plus - minus) / (2.0 * h)
-    return out
+    coeffs = model.coefficients.ravel()
+    out = np.empty(coeffs.size)
+    # coefficients per pass; each gives two stacked runs, moved by +h and by -h
+    count = max(1, engine._pass_runs() // 2)
+    for start in range(0, coeffs.size, count):
+        runs = min(count, coeffs.size - start)
+        stack = np.empty((2, runs, coeffs.size))
+        stack[:] = coeffs
+        # run j of each half moves coefficient start + j (in C order)
+        moved = stack.reshape(2, -1)[:, start::coeffs.size + 1]
+        moved[0] += h
+        moved[1] -= h
+        totals = np.array([row[0] for row in engine._breakdowns(
+            stack.reshape(2 * runs, *model.coefficients.shape), [config.lam] * (2 * runs))])
+        out[start:start + runs] = (totals[:runs] - totals[runs:]) / (2.0 * h)
+    return out.reshape(model.coefficients.shape)

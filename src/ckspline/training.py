@@ -20,7 +20,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .losses import LossConfig, LossEngine, _sample_tables
+from .losses import _RECORD_BYTES, LossConfig, LossEngine, _sample_tables
 from .model import DomainMap, SampleSet, SplineModel
 from .optimizers import OptimizerConfig, _first_non_finite, _update, init_state
 
@@ -41,9 +41,8 @@ INITS = ("zeros", "least_squares")
 SCALINGS = ("none", "unit_segments")
 # fit_sweep keeps the stacks of a block of at most _BLOCK epochs, in at most
 # about _RECORD_BYTES, and records them in passes whose gathered sample
-# tables stay within about _RECORD_BYTES too
+# tables stay within about _RECORD_BYTES too (LossEngine._pass_runs)
 _BLOCK = 80
-_RECORD_BYTES = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -149,8 +148,11 @@ def make_scaled_problem(samples: SampleSet, segments: int, degree: int,
     return model, SampleSet(internal_xs, samples.ys)
 
 
-def _least_squares_coefficients(model: SplineModel, samples: SampleSet):
+def _least_squares_coefficients(model: SplineModel, samples: SampleSet, tables=None):
     """Independent per-segment least squares in the shifted basis.
+
+    tables are the (seg, powers) of _sample_tables(model, samples), built
+    here when not given.
 
     Segments with the same sample count are solved as one batch: one rank
     test over the stack of their design matrices and one batched solve of
@@ -158,7 +160,7 @@ def _least_squares_coefficients(model: SplineModel, samples: SampleSet):
     the minimum-norm solution and is flagged (1-based numbers).  A solution
     that is not finite raises ValueError, before any training starts.
     """
-    seg, powers = _sample_tables(model, samples)
+    seg, powers = _sample_tables(model, samples) if tables is None else tables
     m, width = model.coefficients.shape
     # each segment's samples, contiguous and in their original order
     order = np.argsort(seg, kind="stable")
@@ -275,7 +277,8 @@ def fit_sweep(samples: SampleSet, config: TrainConfig, lambdas) -> list[Training
             "'unit_segments' or a narrower sample range")
     deficient: tuple[int, ...] = ()
     if config.init == "least_squares":
-        coeffs, deficient = _least_squares_coefficients(template, samples)
+        coeffs, deficient = _least_squares_coefficients(template, samples,
+                                                         (engine.seg, engine.powers))
         template.coefficients[:] = coeffs
     stack = np.repeat(template.coefficients[None], len(lambdas), axis=0)
     state = init_state(config.optimizer, stack.shape)
@@ -290,8 +293,7 @@ def fit_sweep(samples: SampleSet, config: TrainConfig, lambdas) -> list[Training
     ring = np.empty((max(1, min(_BLOCK, _RECORD_BYTES // stack.nbytes)),) + stack.shape)
     products = np.empty((len(ring), len(lambdas), 1, 1))
     # record epochs per _breakdowns pass, so that its gathered sample tables stay small
-    per_record = len(lambdas) * max(len(samples), config.segments) * (config.degree + 1) * 8
-    chunk = max(1, _RECORD_BYTES // per_record)
+    chunk = max(1, engine._pass_runs() // len(lambdas))
     every = config.record_every
 
     def freeze(run, epoch, location, coeffs):

@@ -48,6 +48,28 @@ def model_from_global(breakpoints, degree, global_coeffs, domain_map=None):
     return SplineModel.from_breakpoints(breakpoints, degree, np.array(rows), **kwargs)
 
 
+def reference_fd_gradient(model, samples, config, h=1e-6):
+    """fd_gradient as one breakdown() per perturbed coefficient, nothing stacked.
+
+    Moves model.coefficients[i, j] by +h and by -h in place, one entry at a
+    time, and puts each entry back before the next.
+    """
+    if not h > 0.0:
+        raise ValueError("step h must be > 0")
+    engine = LossEngine(model, samples, config)
+    coeffs = model.coefficients
+    out = np.zeros_like(coeffs)
+    for i, j in np.ndindex(coeffs.shape):
+        orig = coeffs[i, j]
+        coeffs[i, j] = orig + h
+        plus = engine.breakdown().total
+        coeffs[i, j] = orig - h
+        minus = engine.breakdown().total
+        coeffs[i, j] = orig
+        out[i, j] = (plus - minus) / (2.0 * h)
+    return out
+
+
 def reference_fit(samples, config, lam):
     """fit() at lam as a plain loop of public calls, one run, nothing stacked.
 

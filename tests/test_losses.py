@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import zlib
 
 import numpy as np
@@ -19,9 +20,10 @@ from ckspline import (
     strain_loss,
     total_loss,
 )
+from ckspline import losses
 from ckspline.model import rebase
 
-from conftest import model_from_global
+from conftest import model_from_global, reference_fd_gradient
 
 
 def random_fixture(rng, boundary_mode="open", strain_weight=0.0):
@@ -281,8 +283,58 @@ def test_fd_gradient_truncation_free_for_quadratic_loss():
 def test_fd_gradient_rejects_bad_step():
     model = model_from_global([0, 1], 1, [[0, 1]])
     samples = SampleSet([0.0, 1.0], [0.0, 1.0])
-    with pytest.raises(ValueError, match="h"):
-        fd_gradient(model, samples, LossConfig(lam=1.0, k=0), h=0.0)
+    for h in (0.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="h"):
+            fd_gradient(model, samples, LossConfig(lam=1.0, k=0), h=h)
+
+
+def wave_problem(m, d, n, boundary_mode="open", strain_weight=0.0):
+    xs = np.linspace(0.0, 16.0, n)
+    samples = SampleSet(xs, np.sin(xs))
+    model, _ = make_scaled_problem(samples, m, d)
+    model.coefficients[:] = np.random.default_rng(m * d + n).normal(size=(m, d + 1))
+    return model, samples, LossConfig(k=min(2, d), boundary_mode=boundary_mode,
+                                      strain_weight=strain_weight)
+
+
+def test_fd_gradient_in_several_passes_equals_the_reference(monkeypatch):
+    # a budget of 7 runs gives passes of 3 coefficients, the last one partial
+    model, samples, config = wave_problem(5, 4, 40, "periodic", 0.3)
+    monkeypatch.setattr(losses, "_RECORD_BYTES", 7 * 40 * 5 * 8)
+    passes = []
+    breakdowns = LossEngine._breakdowns
+
+    def counted(engine, coeffs, lams):
+        passes.append(len(coeffs))
+        return breakdowns(engine, coeffs, lams)
+
+    monkeypatch.setattr(LossEngine, "_breakdowns", counted)
+    numeric = fd_gradient(model, samples, config, h=1e-3)
+    assert passes == [6] * 8 + [2]
+    expected = reference_fd_gradient(model, samples, config, h=1e-3)
+    assert numeric.tobytes() == expected.tobytes()
+
+
+def test_fd_gradient_reads_read_only_coefficients():
+    model, samples, config = wave_problem(4, 5, 64, "cyclic")
+    expected = reference_fd_gradient(model, samples, config)
+    before = model.coefficients.tobytes()
+    model.coefficients.setflags(write=False)
+    assert fd_gradient(model, samples, config).tobytes() == expected.tobytes()
+    assert model.coefficients.tobytes() == before
+
+
+def test_fd_gradient_memory_stays_within_its_passes():
+    # one coefficient per pass here: a single stack of every perturbed copy
+    # would gather about 300 MB of sample tables
+    model, samples, config = wave_problem(64, 7, 4096, "cyclic")
+    tracemalloc.start()
+    try:
+        fd_gradient(model, samples, config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 1024 * 1024
 
 
 def test_losses_nonnegative_random():

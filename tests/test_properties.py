@@ -43,12 +43,12 @@ from ckspline.model import eval_segment
 from ckspline.optimizers import OPTIMIZER_KINDS
 from ckspline.training import INITS, REGULARIZATIONS, SCALINGS
 
-from conftest import reference_fit
+from conftest import reference_fd_gradient, reference_fit
 
 
 @st.composite
-def problems(draw):
-    degree = draw(st.integers(0, 7))
+def problems(draw, max_degree=7):
+    degree = draw(st.integers(0, max_degree))
     k = draw(st.integers(0, degree))
     segments = draw(st.integers(1, 5))
     config = LossConfig(
@@ -80,6 +80,14 @@ def test_operator_gradient_matches_fd_gradient(problem):
     scale = max(1.0, engine.breakdown().total)
     assert_allclose(engine.gradient(), fd_gradient(model, samples, config),
                     rtol=1e-5, atol=1e-8 * scale)
+
+
+@PROPERTY
+@given(problems(max_degree=8), st.sampled_from([1e-6, 1e-3]))
+def test_fd_gradient_equals_one_breakdown_per_perturbation(problem, h):
+    model, samples, config = problem
+    numeric = fd_gradient(model, samples, config, h=h)
+    assert numeric.tobytes() == reference_fd_gradient(model, samples, config, h=h).tobytes()
 
 
 def cancelling_problem():

@@ -21,6 +21,7 @@ from ckspline import (
     make_scaled_problem,
     regularization_vector,
 )
+from ckspline import losses, training
 from ckspline.losses import _sample_tables
 from ckspline.training import _BLOCK, _RECORD_BYTES, _least_squares_coefficients
 
@@ -128,6 +129,22 @@ def test_least_squares_two_segments_on_line():
     from ckspline import l2_loss
 
     assert l2_loss(fitted, samples) == pytest.approx(0.0, abs=1e-24)
+
+
+def test_fit_builds_the_sample_tables_once_for_a_least_squares_start(monkeypatch):
+    # the engine's tables serve the least-squares start too
+    calls = []
+
+    def counted(model, samples):
+        calls.append(len(samples))
+        return _sample_tables(model, samples)
+
+    monkeypatch.setattr(losses, "_sample_tables", counted)
+    monkeypatch.setattr(training, "_sample_tables", counted)
+    xs = np.linspace(0, 16, 128)
+    fit(SampleSet(xs, np.sin(xs)), TrainConfig(segments=8, degree=5, epochs=20,
+                                               loss=LossConfig(k=2), init="least_squares"))
+    assert calls == [128]
 
 
 def test_least_squares_rank_deficiency_flagged():
