@@ -363,9 +363,10 @@ def fd_gradient(model: SplineModel, samples: SampleSet, config: LossConfig,
     residual-form totals with coefficient (i, j) moved by +h and by -h.
     The 2 m (d+1) perturbed copies of the coefficients are stacked and
     evaluated by _breakdowns, in passes whose gathered sample tables stay
-    within about _RECORD_BYTES.  A run's row has the bits of its own
-    breakdown(), so the result is that of moving one coefficient at a time;
-    model.coefficients is only read.  h must be finite and > 0.
+    within about _RECORD_BYTES, but always at least one coefficient's two
+    copies.  A run's row has the bits of its own breakdown(), so the result
+    is that of moving one coefficient at a time; model.coefficients is only
+    read.  h must be finite and > 0.
     """
     if not (math.isfinite(h) and h > 0.0):
         raise ValueError("step h must be finite and > 0")
