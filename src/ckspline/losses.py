@@ -106,11 +106,39 @@ def _check_order(model: SplineModel, config: LossConfig):
 
 
 def _sample_tables(model: SplineModel, samples: SampleSet):
-    """Owning row per sample plus the (n, d+1) matrix of basis powers."""
+    """Owning row per sample plus the (n, d+1) matrix of basis powers.
+
+    Column j is column j-1 times the centered offset u, a running product:
+    u**j with at most j roundings, so within about j*eps of it, at a
+    twentieth of the cost of pow.
+    """
     t, seg = _locate(model, model.domain_map.forward(samples.xs), samples.xs, "sample")
     u = t - model.centers[seg]
-    powers = u[:, None] ** np.arange(model.degree + 1)
+    powers = np.empty((u.size, model.degree + 1))
+    powers[:, 0] = 1.0
+    for j in range(1, model.degree + 1):
+        np.multiply(powers[:, j - 1], u, out=powers[:, j])
     return seg, powers
+
+
+def _count_groups(seg, m):
+    """Segments grouped by sample count, for batched per-segment work.
+
+    Yields (count, group, rows) for each count > 0 that some segment has:
+    group holds those segments in ascending order, and rows[g] the
+    indices of segment group[g]'s samples, in their original order.
+    Counts are grouped by a stable argsort, as the samples are, so the
+    groups come in ascending count order.
+    """
+    order = np.argsort(seg, kind="stable")
+    counts = np.bincount(seg, minlength=m)
+    starts = np.cumsum(counts) - counts
+    by_count = np.argsort(counts, kind="stable")
+    edges = np.flatnonzero(np.diff(counts[by_count])) + 1
+    for group in np.split(by_count, edges):
+        count = int(counts[group[0]])
+        if count:
+            yield count, group, order[starts[group, None] + np.arange(count)]
 
 
 def _l2_values(coeffs, seg, powers, ys):
@@ -177,11 +205,6 @@ def _strain_values(coeffs, tables):
     return np.einsum("ris,ist,rit->r", upper, tables, upper)
 
 
-def _segment_sums(seg, columns, m):
-    """(m, len(columns)) per-segment sums of each length-n column."""
-    return np.stack([np.bincount(seg, col, minlength=m) for col in columns], axis=1)
-
-
 class _Forms(NamedTuple):
     """The quadratic forms of L runs that differ only in lam, stacked.
 
@@ -216,10 +239,11 @@ class LossEngine:
     block-tridiagonal: m diagonal blocks H[i, i], m-1 neighbour blocks
     H[i, i+1] (with H[i+1, i] their transposes) and, in cyclic/periodic
     mode, one corner block H[m-1, 0], each (d+1, d+1).  The assembly is
-    vectorised: l2 blocks come from per-segment bincount sums, ck blocks
-    from all boundary derivative bases at once.  gradient() is one matmul
-    of the block rows with the gathered neighbour coefficients, minus the
-    linear term.
+    vectorised: l2 blocks are the Gram products P'P and P'y of each
+    segment's design P, one einsum per group of segments with equal sample
+    counts, and ck blocks come from all boundary derivative bases at once.
+    gradient() is one matmul of the block rows with the gathered neighbour
+    coefficients, minus the linear term.
 
     breakdown() returns the exact per-term values in residual form.  Both
     read model.coefficients live on every call.  The loss is affine in
@@ -261,13 +285,19 @@ class LossEngine:
         """
         lam = np.asarray(lams, dtype=float)[:, None, None, None]
         m, width = self.model.coefficients.shape
-        d, cfg = width - 1, self.config
-        # l2: Gram block entries sum u**(s+t), so 2d+1 per-segment moments fill them
+        cfg = self.config
+        # l2: segment i's block is the Gram matrix P'P of its (count, w) design
+        # P, and its linear term P'y, taken a group of equal counts at a time;
+        # each design is stored transposed, so that the sums run over
+        # contiguous samples
+        gram, moment = np.zeros((m, width, width)), np.zeros((m, width))
+        for _, group, rows in _count_groups(self.seg, m):
+            design = self.powers[rows].transpose(0, 2, 1).copy()
+            gram[group] = np.einsum("gsn,gtn->gst", design, design)
+            moment[group] = np.einsum("gsn,gn->gs", design, self.ys[rows])
         l2_scale = 2.0 * lam * m / self.ys.size
-        moments = _segment_sums(self.seg, (self.powers[:, min(p, d)] * self.powers[:, max(p - d, 0)]
-                                           for p in range(2 * d + 1)), m)
-        diag = l2_scale * moments[:, np.add.outer(np.arange(width), np.arange(width))]
-        linear = l2_scale[..., 0] * _segment_sums(self.seg, (self.ys[:, None] * self.powers).T, m)
+        diag = l2_scale * gram
+        linear = l2_scale[..., 0] * moment
         if cfg.strain_weight != 0.0 and self.strain_tables is not None:
             diag[..., 2:, 2:] += 2.0 * cfg.strain_weight * self.strain_tables
 

@@ -20,7 +20,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .losses import _RECORD_BYTES, LossConfig, LossEngine, _sample_tables
+from .losses import _RECORD_BYTES, LossConfig, LossEngine, _count_groups, _sample_tables
 from .model import DomainMap, SampleSet, SplineModel
 from .optimizers import OptimizerConfig, _first_non_finite, _update, init_state
 
@@ -43,6 +43,10 @@ SCALINGS = ("none", "unit_segments")
 # about _RECORD_BYTES, and records them in passes whose gathered sample
 # tables stay within about _RECORD_BYTES too (LossEngine._pass_runs)
 _BLOCK = 80
+# a least-squares start certifies a segment's rank when the kappa_F of its R
+# factor is below _RANK_SCREEN / (count * eps); the factor leaves room for
+# the rounding of the QR, of R's inverse and of matrix_rank's own SVD
+_RANK_SCREEN = 1e-4
 
 
 @dataclass(frozen=True)
@@ -148,47 +152,66 @@ def make_scaled_problem(samples: SampleSet, segments: int, degree: int,
     return model, SampleSet(internal_xs, samples.ys)
 
 
+def _back_substitute(upper, rhs):
+    """Solve the (G, w, w) upper-triangular systems upper @ x = rhs, rhs (G, w, r)."""
+    out = np.empty_like(rhs)
+    for j in range(upper.shape[-1] - 1, -1, -1):
+        out[:, j] = (rhs[:, j] - np.einsum("gt,gtr->gr", upper[:, j, j + 1:], out[:, j + 1:])
+                     ) / upper[:, j, j, None]
+    return out
+
+
 def _least_squares_coefficients(model: SplineModel, samples: SampleSet, tables=None):
     """Independent per-segment least squares in the shifted basis.
 
     tables are the (seg, powers) of _sample_tables(model, samples), built
     here when not given.
 
-    Segments with the same sample count are solved as one batch: one rank
-    test over the stack of their design matrices and one batched solve of
-    the normal equations.  A short or rank-deficient segment falls back to
-    the minimum-norm solution and is flagged (1-based numbers).  A solution
-    that is not finite raises ValueError, before any training starts.
+    Segments with the same sample count are solved as one batch.  One
+    np.linalg.qr of the stacked [design | targets] gives each segment's R
+    factor and Q'y, and back-substitution solves R c = Q'y; unlike the
+    normal equations, this does not square the design's condition number.
+    The same back-substitution inverts R.  kappa_F = ||R||_F ||R^-1||_F
+    bounds the design's 2-norm condition number from above, so a segment
+    whose kappa_F lies _RANK_SCREEN below matrix_rank's limit of
+    1 / (count * eps) has full rank by its test; only the segments this
+    screen cannot certify go through np.linalg.matrix_rank.  A short or
+    rank-deficient segment falls back to the minimum-norm solution and is
+    flagged (1-based numbers).  A solution that is not finite raises
+    ValueError, before any training starts.
     """
     seg, powers = _sample_tables(model, samples) if tables is None else tables
     m, width = model.coefficients.shape
-    # each segment's samples, contiguous and in their original order
-    order = np.argsort(seg, kind="stable")
-    counts = np.bincount(seg, minlength=m)
-    starts = np.cumsum(counts) - counts
+    table = np.concatenate([powers, samples.ys[:, None]], axis=1)
     coeffs = np.zeros_like(model.coefficients)
     solved = np.zeros(m, dtype=bool)
-    # sample values near the float limit overflow the solves; that is
-    # reported below, not warned about
-    with np.errstate(over="ignore", invalid="ignore"):
-        for count in np.unique(counts[counts >= width]):
-            group = np.flatnonzero(counts == count)
-            rows = order[starts[group, None] + np.arange(count)]
-            design, targets = powers[rows], samples.ys[rows]
-            full = np.linalg.matrix_rank(design) == width
-            design, targets, group = design[full], targets[full, :, None], group[full]
-            design_t = design.transpose(0, 2, 1)
-            coeffs[group] = np.linalg.solve(design_t @ design, design_t @ targets)[..., 0]
-            solved[group] = True
-        deficient = np.flatnonzero(~solved)
-        for i in deficient[counts[deficient] > 0]:
-            rows = order[starts[i]:starts[i] + counts[i]]
-            coeffs[i] = np.linalg.lstsq(powers[rows], samples.ys[rows], rcond=None)[0]
+    # sample values near the float limit overflow the solves, and a singular
+    # R divides by zero; that is reported or screened below, not warned about
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for count, group, rows in _count_groups(seg, m):
+            stack = table[rows]
+            design = stack[..., :width]
+            if count >= width:
+                r = np.linalg.qr(stack, mode="r")[:, :width]
+                upper = r[..., :width]
+                x = _back_substitute(upper, np.concatenate(
+                    [np.broadcast_to(np.eye(width), upper.shape), r[..., width:]], axis=2))
+                inverse = x[..., :width]
+                kappa = np.sqrt(np.einsum("gst,gst->g", upper, upper)
+                                * np.einsum("gst,gst->g", inverse, inverse))
+                full = kappa * count * np.finfo(float).eps < _RANK_SCREEN
+                unsure = np.flatnonzero(~full)
+                if unsure.size:
+                    full[unsure] = np.linalg.matrix_rank(design[unsure]) == width
+                coeffs[group[full]] = x[full, :, width]
+                solved[group[full]] = True
+            for g in np.flatnonzero(~solved[group]):
+                coeffs[group[g]] = np.linalg.lstsq(design[g], stack[g, :, width], rcond=None)[0]
     overflowed = np.flatnonzero(~np.isfinite(coeffs).all(axis=1))
     if overflowed.size:
         raise ValueError(f"least-squares start is not finite in segment {overflowed[0] + 1}: "
                          "the sample values are too large")
-    return coeffs, tuple(int(i) + 1 for i in deficient)
+    return coeffs, tuple(int(i) + 1 for i in np.flatnonzero(~solved))
 
 
 def least_squares_init(model: SplineModel, samples: SampleSet) -> SplineModel:

@@ -8,15 +8,19 @@ from numpy.testing import assert_allclose
 
 from ckspline import (
     DomainMap,
+    SampleSet,
     SplineModel,
     evaluate,
+    least_squares_init,
     load_model,
     load_samples,
+    make_scaled_problem,
     repair_continuity,
     save_model,
 )
 from ckspline import cli
 from ckspline.cli import main
+from ckspline.losses import _sample_tables
 
 from conftest import benchmark_curve, model_from_global
 
@@ -250,11 +254,12 @@ def test_fit_command_sample_range_wider_than_a_double_is_config_error(tmp_path, 
 
 @pytest.mark.parametrize("verb", ["fit", "sweep"])
 def test_non_finite_least_squares_start_is_config_error(tmp_path, capsys, verb):
-    # the per-segment solve overflows; RuntimeWarnings are errors under
-    # pytest, so this also checks that none is printed
+    # targets near the float limit overflow the per-segment solve;
+    # RuntimeWarnings are errors under pytest, so this also checks that none
+    # is printed
     xs = np.linspace(0.0, 1000.0, 64)
     data = tmp_path / "huge.csv"
-    np.savetxt(data, np.column_stack([xs, 1e307 * np.sin(xs)]), delimiter=",",
+    np.savetxt(data, np.column_stack([xs, 1.7e308 * np.sin(xs)]), delimiter=",",
                header="x,y", comments="")
     out = tmp_path / "run"
     flags = ["--init", "least_squares", "--scaling", "none", "--segments", "4",
@@ -263,6 +268,20 @@ def test_non_finite_least_squares_start_is_config_error(tmp_path, capsys, verb):
     assert capsys.readouterr().err == (
         "error: least-squares start is not finite in segment 1: the sample values are too large\n")
     assert not out.exists()
+
+
+def test_large_targets_give_a_finite_least_squares_start():
+    # 1e307 * sin(x) overflowed the normal equations' Gram products; the QR
+    # start stays finite and matches per-segment lstsq
+    xs = np.linspace(0.0, 1000.0, 64)
+    samples = SampleSet(xs, 1e307 * np.sin(xs))
+    model, _ = make_scaled_problem(samples, 4, 3, "none")
+    coeffs = least_squares_init(model, samples).coefficients
+    seg, powers = _sample_tables(model, samples)
+    expected = [np.linalg.lstsq(powers[seg == i], samples.ys[seg == i], rcond=None)[0]
+                for i in range(4)]
+    assert np.isfinite(coeffs).all()
+    assert_allclose(coeffs, expected, rtol=1e-10, atol=1e-10 * np.abs(expected).max())
 
 
 @pytest.mark.parametrize("verb, lambdas", [("fit", ["--lambda", "0.5"]),

@@ -8,6 +8,7 @@ from numpy.testing import assert_allclose
 
 from ckspline import (
     DomainError,
+    DomainMap,
     LossConfig,
     LossEngine,
     SampleSet,
@@ -243,6 +244,68 @@ def test_stacked_operator_rows_are_c_ordered(mode):
     rows = LossEngine(model, samples, config)._forms([1.0, 0.5, 0.0]).rows
     assert rows.shape == (3, 8, 6, 18)
     assert rows.flags.c_contiguous
+
+
+def test_sample_table_powers_are_within_rounding_of_pow():
+    # column t is t running products of the offset u: within (t+1) eps of
+    # u**t, relative, with columns 0 and 1 exact
+    rng = np.random.default_rng(31)
+    xs = np.sort(rng.uniform(-3.0, 5.0, 500))
+    samples = SampleSet(xs, np.zeros(xs.size))
+    model, _ = make_scaled_problem(samples, 7, 11, scaling="none")
+    seg, powers = losses._sample_tables(model, samples)
+    u = xs - model.centers[seg]
+    t = np.arange(12)
+    reference = u[:, None] ** t
+    assert np.array_equal(powers[:, :2], reference[:, :2])
+    assert (np.abs(powers - reference) <= (t + 1) * np.finfo(float).eps * np.abs(reference)).all()
+
+
+def moment_blocks(seg, powers, ys, m):
+    """Per-segment l2 Gram blocks and P'y from bincount moment sums.
+
+    Block entry (s, t) sums u**(s+t), so 2d+1 moments fill each block.
+    """
+    d = powers.shape[1] - 1
+
+    def sums(column):
+        return np.bincount(seg, column, minlength=m)
+
+    moments = np.stack([sums(powers[:, min(p, d)] * powers[:, max(p - d, 0)])
+                        for p in range(2 * d + 1)], axis=1)
+    return (moments[:, np.add.outer(np.arange(d + 1), np.arange(d + 1))],
+            np.stack([sums(ys * column) for column in powers.T], axis=1))
+
+
+@pytest.mark.parametrize("mode", ["open", "cyclic", "periodic"])
+@pytest.mark.parametrize("mirrored", [False, True])
+def test_gram_operator_equals_the_moment_assembly(mode, mirrored):
+    # unequal sample counts, and segments 4 and 5 empty; a mirrored domain
+    # map (a < 0) puts the samples in descending segment order.  The
+    # reference adds the moment blocks to the operator of the same engine
+    # with its l2 part zeroed (ck and strain only).  Each block entry sums
+    # at most 30 products in either order, so they agree to 1e-13 of the
+    # largest entry
+    rng = np.random.default_rng(zlib.crc32(f"gram-{mode}-{mirrored}".encode()))
+    m = 10
+    xs = np.sort(np.concatenate([[0.0, m], rng.uniform(0, 4, 50), rng.uniform(6, m, 90)]))
+    samples = SampleSet(xs, np.cos(xs) + 0.1 * rng.normal(size=xs.size))
+    model, _ = make_scaled_problem(samples, m, 5)
+    if mirrored:
+        model.domain_map = DomainMap(-model.domain_map.a, m - model.domain_map.b)
+    engine = LossEngine(model, samples, LossConfig(k=2, boundary_mode=mode, strain_weight=0.3))
+    counts = np.bincount(engine.seg, minlength=m)
+    assert counts[4] == counts[5] == 0 and len(set(counts[counts > 0])) > 2
+    lams = [1.0, 0.5, 0.0]
+    form = engine._forms(lams)
+    gram, moment = moment_blocks(engine.seg, engine.powers, samples.ys, m)
+    engine.powers = np.zeros_like(engine.powers)
+    expected = engine._forms(lams)
+    scale = 2.0 * np.array(lams)[:, None, None, None] * m / xs.size
+    expected.rows.reshape(len(lams), m, 6, 3, 6)[..., 1, :] += scale * gram
+    assert_allclose(form.rows, expected.rows, rtol=0, atol=1e-13 * np.abs(expected.rows).max())
+    assert_allclose(form.linear, scale[..., 0] * moment,
+                    rtol=0, atol=1e-13 * np.abs(form.linear).max())
 
 
 @pytest.mark.parametrize("mode", ["open", "cyclic", "periodic"])

@@ -595,8 +595,8 @@ def test_fit_sweep_validates_once_before_training():
 
 @pytest.mark.parametrize("mirrored", [False, True])
 def test_batched_least_squares_matches_per_segment_solves(mirrored):
-    # reference: one normal-equation solve per full-rank segment over its
-    # samples in input order, lstsq otherwise; a mirrored domain map (a < 0)
+    # reference: one lstsq solve per segment over its samples in input
+    # order, and matrix_rank for the flags; a mirrored domain map (a < 0)
     # puts the samples in descending segment order
     rng = np.random.default_rng(23)
     xs = np.sort(np.concatenate([rng.uniform(0, 3, 300), np.full(5, 3.5), rng.uniform(6, 8, 200)]))
@@ -609,11 +609,65 @@ def test_batched_least_squares_matches_per_segment_solves(mirrored):
     expected, flagged = np.zeros_like(coeffs), []
     for i in range(16):
         design, targets = powers[seg == i], samples.ys[seg == i]
-        if len(design) >= 4 and np.linalg.matrix_rank(design) == 4:
-            expected[i] = np.linalg.solve(design.T @ design, design.T @ targets)
-        else:
-            if len(design):
-                expected[i] = np.linalg.lstsq(design, targets, rcond=None)[0]
+        if len(design):
+            expected[i] = np.linalg.lstsq(design, targets, rcond=None)[0]
+        if not (len(design) >= 4 and np.linalg.matrix_rank(design) == 4):
             flagged.append(i + 1)
     assert deficient == tuple(flagged) and len(flagged) > 2
-    assert np.array_equal(coeffs, expected)
+    assert_allclose(coeffs, expected, rtol=1e-12, atol=1e-12 * np.abs(expected).max())
+
+
+def test_least_squares_start_is_accurate_on_ill_conditioned_designs():
+    # eight samples per segment, clustered in a twentieth of it: the designs'
+    # condition numbers reach 1e6.  The QR start stays within 1e-10 of
+    # per-segment lstsq; the normal equations square the condition number
+    rng = np.random.default_rng(1)
+    m = 8
+    xs = np.sort(np.concatenate([i + 0.6 + 0.05 * rng.uniform(0, 1, 8) for i in range(m)]
+                                + [[0.0, m]]))
+    samples = SampleSet(xs, np.sin(xs))
+    model, _ = make_scaled_problem(samples, m, 3)
+    coeffs, deficient = _least_squares_coefficients(model, samples)
+    seg, powers = _sample_tables(model, samples)
+    assert deficient == ()
+    kappa, qr_error, normal_error = 0.0, 0.0, 0.0
+    for i in range(m):
+        design, targets = powers[seg == i], samples.ys[seg == i]
+        expected = np.linalg.lstsq(design, targets, rcond=None)[0]
+        normal = np.linalg.solve(design.T @ design, design.T @ targets)
+        kappa = max(kappa, np.linalg.cond(design))
+        qr_error = max(qr_error, np.linalg.norm(coeffs[i] - expected) / np.linalg.norm(expected))
+        normal_error = max(normal_error,
+                           np.linalg.norm(normal - expected) / np.linalg.norm(expected))
+    assert kappa >= 1e6
+    assert qr_error <= 1e-10 < normal_error
+
+
+def test_rank_screen_flags_the_segments_matrix_rank_flags(monkeypatch):
+    # each segment holds two spread abscissae and a cluster of six spaced
+    # delta apart, so its design's condition number grows like 1/delta.
+    # From 1e-10 down to duplicates (delta = 0), the designs straddle
+    # matrix_rank's tolerance; the screen certifies the well-conditioned
+    # ones and leaves the rest to matrix_rank, and the flags are its flags
+    deltas = np.r_[1e-2, 0.0, np.logspace(-10, -16, 13), 1e-3]
+    m = len(deltas)
+    xs = np.concatenate([i + np.r_[0.0, 0.3, 0.7 + delta * np.arange(6)]
+                         for i, delta in enumerate(deltas)] + [[m]])
+    samples = SampleSet(xs, np.cos(xs))
+    model, _ = make_scaled_problem(samples, m, 3)
+    seg, powers = _sample_tables(model, samples)
+    expected = tuple(i + 1 for i in range(m)
+                     if np.linalg.matrix_rank(powers[seg == i]) < 4)
+    matrix_rank, ranked = np.linalg.matrix_rank, []
+
+    def counted(designs, *args, **kwargs):
+        ranked.append(len(designs))
+        return matrix_rank(designs, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "matrix_rank", counted)
+    coeffs, deficient = _least_squares_coefficients(model, samples)
+    assert deficient == expected and 1 < len(expected) < m - 2
+    # both paths ran: the screen certified some segments, and matrix_rank
+    # ranked the rest, full-rank ones among them
+    assert len(expected) < sum(ranked) < m
+    assert np.isfinite(coeffs).all()
