@@ -104,7 +104,10 @@ def load_samples(path) -> SampleSet:
     """Parse a two-column x,y CSV; rows are stably sorted by x."""
     path = Path(path)
     with path.open(newline="") as handle:
-        rows = list(csv.reader(handle))
+        try:
+            rows = list(csv.reader(handle))
+        except csv.Error as exc:
+            raise ValueError(f"{path}: malformed CSV: {exc}") from None
     if not rows or [cell.strip() for cell in rows[0]] != ["x", "y"]:
         raise ValueError(f"{path}: expected header 'x,y'")
     xs, ys = [], []
@@ -194,7 +197,10 @@ def _json_int(text: str):
 
 def load_model(path) -> SplineModel:
     path = Path(path)
-    obj = json.loads(path.read_text(), parse_int=_json_int)
+    try:
+        obj = json.loads(path.read_text(), parse_int=_json_int)
+    except RecursionError:
+        raise ValueError(f"{path}: model file is nested too deeply to parse") from None
     try:
         degree = obj["degree"]
         if type(degree) is _NegativeZero:

@@ -328,6 +328,28 @@ def test_overflowing_basis_powers_are_a_config_error(tmp_path, capfd, init):
     assert not out.exists()
 
 
+def test_fit_csv_field_over_the_csv_limit_is_config_error(tmp_path, capsys):
+    # a 200,000-digit y value exceeds the csv module's field limit
+    data = tmp_path / "long.csv"
+    data.write_text("x,y\n0,1\n1," + "1" * 200_000 + "\n")
+    out = tmp_path / "run"
+    assert main(["fit", "--input", str(data), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {data}: malformed CSV: field larger than field limit (131072)\n")
+    assert not out.exists()
+
+
+def test_eval_model_nested_too_deeply_is_config_error(tmp_path, capsys):
+    # 100,000 nested lists exceed the JSON parser's recursion limit
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000)
+    out = tmp_path / "curve"
+    assert main(["eval", "--model", str(deep), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {deep}: model file is nested too deeply to parse\n")
+    assert not out.exists()
+
+
 def test_eval_malformed_model_is_config_error(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text('{"degree": 3}\n')
