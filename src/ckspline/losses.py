@@ -14,12 +14,12 @@ coefficient matrix c:
 
 Segment i only meets segments i-1 and i+1 (and, across the wrap, segment m-1
 meets segment 0), so the Hessian H is block-tridiagonal with one corner
-block.  LossEngine assembles H and the linear term once, from the samples,
-the boundary derivative bases and the strain tables; the gradient is then a
-block mat-vec whose cost does not depend on the number of samples.  H and
-linear are affine in lam, so the forms of a whole lambda sweep are
-assembled in one pass and stacked as an (L, m) grid of block rows, and one
-matmul over that grid serves every run.
+block.  LossEngine assembles H and the linear term once, from the Gram
+products of each segment's samples, the boundary derivative bases and the
+strain tables; the gradient is then a block mat-vec whose cost does not
+depend on the number of samples.  H and linear are affine in lam, so the
+forms of a whole lambda sweep are assembled in one pass and stacked as an
+(L, m) grid of block rows, and one matmul over that grid serves every run.
 
 Loss values come from the residual form instead (l2 from the sample
 residuals, ck from the jumps at every boundary in one batch, strain from its
@@ -109,8 +109,8 @@ def _sample_tables(model: SplineModel, samples: SampleSet):
     """Owning row per sample plus the (n, d+1) matrix of basis powers.
 
     Column j is column j-1 times the centered offset u, a running product:
-    u**j with at most j roundings, so within about j*eps of it, at a
-    twentieth of the cost of pow.
+    u**j after j-1 roundings, so within about j*eps of it, at a twentieth
+    of the cost of pow.
     """
     t, seg = _locate(model, model.domain_map.forward(samples.xs), samples.xs, "sample")
     u = t - model.centers[seg]

@@ -200,9 +200,7 @@ def _least_squares_coefficients(model: SplineModel, samples: SampleSet, tables=N
                 kappa = np.sqrt(np.einsum("gst,gst->g", upper, upper)
                                 * np.einsum("gst,gst->g", inverse, inverse))
                 full = kappa * count * np.finfo(float).eps < _RANK_SCREEN
-                unsure = np.flatnonzero(~full)
-                if unsure.size:
-                    full[unsure] = np.linalg.matrix_rank(design[unsure]) == width
+                full[~full] = np.linalg.matrix_rank(design[~full]) == width
                 coeffs[group[full]] = x[full, :, width]
                 solved[group[full]] = True
             for g in np.flatnonzero(~solved[group]):
