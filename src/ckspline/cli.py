@@ -465,6 +465,9 @@ def _cmd_eval(args) -> int:
     if manifest.k < 0:
         raise ValueError(f"k must be >= 0, got {manifest.k}")
     model = load_model(manifest.model)
+    if manifest.k > model.degree:
+        # every derivative column past the degree is zero
+        raise ValueError(f"--k {manifest.k} exceeds the model's degree {model.degree}")
     outdir = Path(manifest.out)
     outdir.mkdir(parents=True, exist_ok=True)
     _write_curve(model, manifest.k, manifest.resolution, outdir / "curve.csv")

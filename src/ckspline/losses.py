@@ -26,12 +26,11 @@ residuals, ck from the jumps at every boundary in one batch, strain from its
 per-segment tables): the expanded form above loses digits when l2 is tiny.
 The training loop therefore takes the residual-form breakdown only at
 record epochs, over all of a block's record epochs and every run of a
-sweep at once.  A run diverges at the first epoch whose g.c (the gradient
-it already has, dotted with the coefficients) is not finite, or whose
-recorded residual total is not finite.  fd_gradient moves each
-coefficient by +h and by -h and takes the residual-form totals of all those
-copies in stacked passes, each run with the bits of its own breakdown(), so
-it stays an oracle independent of the assembled operator.
+sweep at once (training.py states how that decides divergence).
+fd_gradient moves each coefficient by +h and by -h and takes the
+residual-form totals of all those copies in stacked passes, each run with
+the bits of its own breakdown(), so it stays an oracle independent of the
+assembled operator.
 
 All three terms are evaluated in internal (scaled) coordinates.  Functions
 here are pure; LossEngine only caches tables that depend on breakpoints and
@@ -65,8 +64,9 @@ __all__ = [
 
 BOUNDARY_MODES = ("open", "cyclic", "periodic")
 # a stacked residual pass (_breakdowns) gathers an (n, d+1) sample table for
-# each coefficient set; the training loop's record pass and fd_gradient size
-# their passes so that these tables stay within about _RECORD_BYTES
+# each coefficient set; _breakdowns takes its coefficient sets in passes whose
+# tables stay within about _RECORD_BYTES, and fd_gradient sizes its stacks of
+# perturbed copies to one such pass
 _RECORD_BYTES = 1 << 18
 
 
@@ -184,12 +184,10 @@ def _strain_tables(model: SplineModel):
 
     Squaring the second-derivative coefficient polynomial and integrating
     term by term over the segment gives a closed form; odd powers of the
-    centered offset integrate to zero.
+    centered offset integrate to zero.  Below degree 2 the forms are empty,
+    (m, 0, 0), and every strain is 0.
     """
-    d = model.degree
-    if d < 2:
-        return None
-    s = np.arange(d - 1)  # surviving coefficients, powers 2..d
+    s = np.arange(max(model.degree - 1, 0))  # surviving coefficients, powers 2..d
     weights = (s + 2.0) * (s + 1.0)
     p = np.add.outer(s, s)
     half = np.diff(model.breakpoints)[:, None, None] / 2.0
@@ -199,8 +197,6 @@ def _strain_tables(model: SplineModel):
 
 def _strain_values(coeffs, tables):
     """(L,) strain of an (L, m, d+1) coefficient stack."""
-    if tables is None:
-        return np.zeros(len(coeffs))
     upper = coeffs[..., 2:]
     return np.einsum("ris,ist,rit->r", upper, tables, upper)
 
@@ -214,9 +210,7 @@ class _Forms(NamedTuple):
     stack, one row per lam in order.  It is one stacked matmul, which makes
     the same BLAS call on a contiguous (w, 3w) operand for every (run,
     segment) item, so a run's gradient is the same bits whatever it is
-    stacked with.  The training loop dots each run's gradient g with its
-    coefficients c: a run diverges at the first epoch whose g.c is not
-    finite, or whose recorded residual total is not finite.
+    stacked with.
     """
 
     rows: np.ndarray
@@ -250,8 +244,8 @@ class LossEngine:
     lam, so _forms() assembles the operators of a whole sweep in one pass,
     and an engine is its one-lam case: matmul treats every (run, segment)
     block alike, so a run of a sweep gets the same gradient bits as an
-    engine of its own.  Likewise _breakdowns() is one residual pass over a
-    sweep's coefficient stack, and breakdown() is its one-run case.
+    engine of its own.  Likewise _breakdowns() takes the residual form of a
+    whole stack of coefficient sets, and breakdown() is its one-run case.
     """
 
     def __init__(self, model: SplineModel, samples: SampleSet, config: LossConfig):
@@ -298,7 +292,7 @@ class LossEngine:
         l2_scale = 2.0 * lam * m / self.ys.size
         diag = l2_scale * gram
         linear = l2_scale[..., 0] * moment
-        if cfg.strain_weight != 0.0 and self.strain_tables is not None:
+        if cfg.strain_weight != 0.0:
             diag[..., 2:, 2:] += 2.0 * cfg.strain_weight * self.strain_tables
 
         # ck: boundary b adds L'L to H[left, left], R'R to H[right, right] and
@@ -335,14 +329,19 @@ class LossEngine:
 
         Run r is blended with weight lams[r], in Python floats.  A term whose
         weight is 0 is left out of the blend, so an infinite term there
-        cannot make the total NaN; a finite one would add exactly 0.  Every
-        run's row is the same bits whatever L is and whatever it is stacked
-        with, so breakdown() is the L = 1 case.
+        cannot make the total NaN; a finite one would add exactly 0.  The
+        runs are taken _pass_runs() at a time, so the gathered sample tables
+        stay within about _RECORD_BYTES for any L.  Every run's row is the
+        same bits whatever L is and whatever it is stacked with, so the
+        passes do not change it, and breakdown() is the L = 1 case.
         """
-        weight = self.config.strain_weight
-        terms = zip(_l2_values(coeffs, self.seg, self.powers, self.ys).tolist(),
-                    _ck_values(coeffs, self.bases, self.ck_divisor).tolist(),
-                    _strain_values(coeffs, self.strain_tables).tolist())
+        weight, size = self.config.strain_weight, self._pass_runs()
+        terms = []
+        for start in range(0, len(coeffs), size):
+            part = coeffs[start:start + size]
+            terms += zip(_l2_values(part, self.seg, self.powers, self.ys).tolist(),
+                         _ck_values(part, self.bases, self.ck_divisor).tolist(),
+                         _strain_values(part, self.strain_tables).tolist())
         rows = []
         for lam, (l2, ck, strain) in zip(lams, terms):
             total = 0.0
@@ -391,12 +390,11 @@ def fd_gradient(model: SplineModel, samples: SampleSet, config: LossConfig,
 
     Entry (i, j) is (plus - minus) / (2h), where plus and minus are the
     residual-form totals with coefficient (i, j) moved by +h and by -h.
-    The 2 m (d+1) perturbed copies of the coefficients are stacked and
-    evaluated by _breakdowns, in passes whose gathered sample tables stay
-    within about _RECORD_BYTES, but always at least one coefficient's two
-    copies.  A run's row has the bits of its own breakdown(), so the result
-    is that of moving one coefficient at a time; model.coefficients is only
-    read.  h must be finite and > 0.
+    The 2 m (d+1) perturbed copies of the coefficients are stacked about
+    one _breakdowns pass at a time, but always at least one coefficient's
+    two copies, and evaluated by _breakdowns.  A run's row has the bits of
+    its own breakdown(), so the result is that of moving one coefficient at
+    a time; model.coefficients is only read.  h must be finite and > 0.
     """
     if not (math.isfinite(h) and h > 0.0):
         raise ValueError("step h must be finite and > 0")

@@ -4,11 +4,11 @@ Each epoch takes the blended loss's analytic gradient g, its dot product
 g.c with the coefficients c, optionally the degree-based gradient
 regularization, and one optimizer update, for every lambda of a sweep at
 once, and keeps a copy of the coefficients it started from.  After a block
-of epochs the g.c products are tested for finiteness, and the exact loss
-values of the block's record epochs are computed from those copies for all
-lambdas at once.  Runs are deterministic.  A run diverges at the first
-epoch whose g.c is not finite, or whose recorded residual total is not
-finite; that stops it early and is reported, not raised.
+of epochs the exact loss values of the block's record epochs are computed
+from those copies for all lambdas at once.  Runs are deterministic.
+
+A run stops at its first epoch whose g.c or recorded residual total is not
+finite.  That is a divergence, reported with the run and not raised.
 """
 
 from __future__ import annotations
@@ -40,8 +40,7 @@ REGULARIZATIONS = ("none", "degree_based")
 INITS = ("zeros", "least_squares")
 SCALINGS = ("none", "unit_segments")
 # fit_sweep keeps the stacks of a block of at most _BLOCK epochs, in at most
-# about _RECORD_BYTES, and records them in passes whose gathered sample
-# tables stay within about _RECORD_BYTES too (LossEngine._pass_runs)
+# about _RECORD_BYTES; LossEngine._breakdowns bounds its record passes itself
 _BLOCK = 80
 # a least-squares start certifies a segment's rank when the kappa_F of its R
 # factor is below _RANK_SCREEN / (count * eps); the factor leaves room for
@@ -230,9 +229,8 @@ def fit(samples: SampleSet, config: TrainConfig) -> TrainingReport:
     the gradient g from the engine's precomputed operator.  The exact
     residual-form breakdown is taken only at record epochs (every
     record_every epochs) and once after the final update; recorded rows
-    always satisfy the loss-blend identity.  The run diverges at the first
-    epoch whose g.c is not finite, or whose recorded residual total is not
-    finite.
+    always satisfy the loss-blend identity.  The run stops where the
+    module's divergence rule says.
     """
     return fit_sweep(samples, config, [config.loss.lam])[0]
 
@@ -251,36 +249,25 @@ def fit_sweep(samples: SampleSet, config: TrainConfig, lambdas) -> list[Training
     every (run, segment) block as a single run's, so a run's bits do not
     depend on the others.
 
-    A run diverges at the first epoch whose g.c is not finite, or whose
-    recorded residual total is not finite.  The ring holds the stack at each
-    epoch of a block of at most _BLOCK epochs.  After the block, one
-    finiteness test over the buffered g.c products freezes each live run
-    that failed at its first bad epoch, with its coefficients and first
-    non-finite gradient entry taken from that epoch's ring row.  Then
-    _breakdowns runs over the ring's record epochs, which gives each run the
-    bits of its own breakdown().  A non-finite recorded total freezes its
-    run at that epoch, which wins over any later freeze.
+    The ring holds the stack at each epoch of a block of at most _BLOCK
+    epochs, and products each epoch's g.c.  One settle step ends the block:
+    a single _breakdowns call over the ring's record rows gives each run
+    the bits of its own breakdown(), and a bad epoch is one whose g.c or
+    recorded total is not finite.  Each run not yet stopped takes its rows
+    recorded before its first bad epoch and stops there, with that epoch's
+    ring row.  The stop keeps the first non-finite gradient entry only when
+    g.c was not finite.  After the last block the final stack is settled as
+    a one-row block of one record epoch.
 
-    A frozen run stays in the stack and keeps training, out of the tests and
-    the records.  Its report uses only its saved copy and the rows recorded
-    before it froze, so its later values are never seen, and each report is
-    bit-identical to fit() at that lam and to a per-epoch loop.  Reports
-    come in the order of lambdas and own their models.
+    A stopped run stays in the stack and keeps training, but settle skips
+    it, so its later values are never seen.  Each report is bit-identical
+    to fit() at that lam and to a per-epoch loop.  Reports come in the
+    order of lambdas and own their models.
     """
     lambdas = list(lambdas)
     if not lambdas:
         raise ValueError("lambdas must not be empty")
     loss_cfg = config.loss
-    if loss_cfg.k > config.degree:
-        raise ValueError(
-            f"continuity order k={loss_cfg.k} exceeds spline degree {config.degree}"
-        )
-    if config.degree < 2 * loss_cfg.k + 1:
-        warnings.warn(
-            f"degree {config.degree} is below 2k+1={2 * loss_cfg.k + 1}; "
-            "exact continuity repair will not be available for this model",
-            stacklevel=2,
-        )
     for lam in lambdas:
         replace(loss_cfg, lam=lam)  # LossConfig validates lam
 
@@ -288,7 +275,13 @@ def fit_sweep(samples: SampleSet, config: TrainConfig, lambdas) -> list[Training
     # data near the float limit may overflow the operator's assembly; that is
     # reported below or by the training loop, not warned about
     with np.errstate(over="ignore", invalid="ignore"):
-        engine = LossEngine(template, samples, loss_cfg)
+        engine = LossEngine(template, samples, loss_cfg)  # rejects k > degree
+        if config.degree < 2 * loss_cfg.k + 1:
+            warnings.warn(
+                f"degree {config.degree} is below 2k+1={2 * loss_cfg.k + 1}; "
+                "exact continuity repair will not be available for this model",
+                stacklevel=2,
+            )
         form = engine._forms(lambdas)
     if not np.isfinite(form.rows).all():
         width = float(np.diff(template.breakpoints).max())
@@ -307,41 +300,45 @@ def fit_sweep(samples: SampleSet, config: TrainConfig, lambdas) -> list[Training
            if config.regularization == "degree_based" else None)
 
     histories: list[list[HistoryRow]] = [[] for _ in lambdas]
-    divergences: list[tuple[int, tuple[int, int] | None] | None] = [None] * len(lambdas)
-    live = np.ones(len(lambdas), dtype=bool)  # the runs not yet diverged
-    saved: dict[int, np.ndarray] = {}  # the coefficients of each run where it diverged
+    # each stopped run's (epoch, first non-finite gradient entry or None, coefficients)
+    stops: list[tuple[int, tuple[int, int] | None, np.ndarray] | None] = [None] * len(lambdas)
     # the stack at each epoch of the block, and each epoch's g.c
     ring = np.empty((max(1, min(_BLOCK, _RECORD_BYTES // stack.nbytes)),) + stack.shape)
     products = np.empty((len(ring), len(lambdas), 1, 1))
-    # record epochs per _breakdowns pass, so that its gathered sample tables stay small
-    chunk = max(1, engine._pass_runs() // len(lambdas))
     every = config.record_every
 
-    def freeze(run, epoch, location, coeffs):
-        """Stop run at epoch, keeping coeffs; it must not have stopped at or before epoch."""
-        divergences[run] = (epoch, location)
-        saved[run] = coeffs.copy()
-        live[run] = False
+    def settle(start, stacks, unstable, first):
+        """Append each live run's rows from epoch start on, and stop it at its first bad epoch.
 
-    def record(epochs, stacks):
-        """Append each run's rows at ascending epochs; a non-finite total freezes its run."""
-        for i in range(0, len(epochs), chunk):
-            batch = stacks[i:i + chunk]
-            rows = engine._breakdowns(batch.reshape(-1, *stack.shape[1:]), lambdas * len(batch))
-            for j, epoch in enumerate(epochs[i:i + chunk]):
-                for run, row in enumerate(rows[j * len(lambdas):(j + 1) * len(lambdas)]):
-                    if divergences[run] is not None and divergences[run][0] <= epoch:
-                        continue
-                    if math.isfinite(row[0]):
-                        histories[run].append(HistoryRow(epoch, *row))
-                    else:
-                        freeze(run, epoch, None, batch[j, run])
+        stacks holds one stack per epoch and unstable marks the epochs whose
+        g.c is not finite.  Rows first, first + every, ... are record epochs,
+        and one whose recorded total is not finite is bad too.
+        """
+        epochs = list(range(start + first, start + len(stacks), every))
+        rows = engine._breakdowns(stacks[first::every].reshape(-1, *stack.shape[1:]),
+                                  lambdas * len(epochs))
+        bad = unstable.copy()
+        recorded = bad[first::every]  # a view, one row per record epoch
+        for i, row in enumerate(rows):
+            if not math.isfinite(row[0]):
+                recorded[divmod(i, len(lambdas))] = True
+        for run in range(len(lambdas)):
+            if stops[run] is not None:
+                continue
+            hits = np.flatnonzero(bad[:, run])
+            end = int(hits[0]) if hits.size else len(stacks)
+            histories[run] += [HistoryRow(epoch, *row) for epoch, row
+                               in zip(epochs, rows[run::len(lambdas)]) if epoch < start + end]
+            if end < len(stacks):
+                location = (_first_non_finite(form.gradients(stacks[end])[run])
+                            if unstable[end, run] else None)
+                stops[run] = (start + end, location, stacks[end, run].copy())
 
     # divergence is detected via isfinite checks, so silence the transient
     # overflow warnings a runaway run produces on its way there
     with np.errstate(over="ignore", invalid="ignore"):
         for start in range(0, config.epochs, len(ring)):
-            if not live.any():
+            if None not in stops:
                 break
             count = min(len(ring), config.epochs - start)
             for row in range(count):
@@ -352,25 +349,19 @@ def fit_sweep(samples: SampleSet, config: TrainConfig, lambdas) -> list[Training
                 if reg is not None:
                     grads *= reg
                 _update(state, config.optimizer, stack, grads)
-            bad = ~np.isfinite(products[:count, :, 0, 0]) & live
-            for run in np.flatnonzero(bad.any(axis=0)).tolist():
-                row = int(bad[:, run].argmax())
-                freeze(run, start + row, _first_non_finite(form.gradients(ring[row])[run]),
-                       ring[row, run])
-            first = -start % every
-            record(range(start + first, start + count, every), ring[first:count:every])
-        record([config.epochs], stack[None])
+            settle(start, ring[:count], ~np.isfinite(products[:count, :, 0, 0]), -start % every)
+        settle(config.epochs, stack[None], np.zeros((1, len(lambdas)), dtype=bool), 0)
 
     reports = []
-    for run, (history, divergence) in enumerate(zip(histories, divergences)):
-        model = template.copy()
-        model.coefficients[:] = saved.get(run, stack[run])
-        epoch, location = divergence or (None, None)
+    for run, history in enumerate(histories):
+        epoch, location, coeffs = stops[run] or (None, None, stack[run])
         segment, power = location or (None, None)
+        model = template.copy()
+        model.coefficients[:] = coeffs
         reports.append(TrainingReport(
             history=history,
             final_model=model,
-            diverged=divergence is not None,
+            diverged=epoch is not None,
             diverged_epoch=epoch,
             diverged_segment=segment,
             diverged_power=power,

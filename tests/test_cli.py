@@ -380,6 +380,19 @@ def test_eval_negative_k_is_config_error(tmp_path, capsys, k):
     assert not out.exists()
 
 
+def test_eval_k_above_the_model_degree_is_config_error(tmp_path, capsys):
+    # derivative columns past the degree would all be zero
+    path = tmp_path / "model.json"
+    save_model(model_from_global([0, 1, 2], 3, [[0.0], [1.0]]), path)
+    out = tmp_path / "curve"
+    assert main(["eval", "--model", str(path), "--out", str(out), "--k", "4"]) == 1
+    assert capsys.readouterr().err == "error: --k 4 exceeds the model's degree 3\n"
+    assert not out.exists()
+    assert main(["eval", "--model", str(path), "--out", str(out), "--k", "3",
+                 "--resolution", "3"]) == 0
+    assert (out / "curve.csv").read_text().splitlines()[0] == "x,f,d1,d2,d3"
+
+
 def _replace_first_number(value, bad):
     if isinstance(value, list):
         return [_replace_first_number(value[0], bad)] + value[1:]
@@ -500,6 +513,45 @@ def test_fit_unknown_config_key(tmp_path, capsys):
     config = tmp_path / "run.conf"
     config.write_text(f"input = {data}\nout = {tmp_path / 'o'}\nwibble = 3\n")
     assert main(["fit", "--config", str(config)]) == 1
+
+
+LINE_CSV = "x,y\n0,0\n0.5,0.5\n1,1\n"
+
+
+@pytest.mark.parametrize("files, argv, message", [
+    pytest.param({"data.csv": "x,y\n0,1\n1,one\n"}, "fit --input data.csv --out run",
+                 "data.csv: line 3: malformed number", id="csv-malformed-number"),
+    pytest.param({"model.json": '{"degree": 1, "breakpoints": [0, 1], "centers": [0.5], '
+                                '"coefficients": [[0, 1]], "domain_map": [1, 0]}'},
+                 "eval --model model.json --out run", "model.json: malformed model file",
+                 id="model-field-of-the-wrong-type"),
+    pytest.param({"data.csv": LINE_CSV}, "fit --input data.csv --out run --resolution 1",
+                 "resolution must be >= 2", id="resolution-1"),
+    pytest.param({"data.csv": LINE_CSV},
+                 "sweep --input data.csv --out run --lambdas 1 --degree 4 --k 2",
+                 "needs degree >= 2k+1 = 5", id="sweep-degree-below-2k+1"),
+    pytest.param({"data.csv": LINE_CSV, "run.conf": "repair = maybe\n"},
+                 "fit --input data.csv --out run --config run.conf",
+                 "config key repair: expected a boolean, got 'maybe'", id="config-not-a-boolean"),
+    pytest.param({"data.csv": LINE_CSV, "run.conf": "segments = eight\n"},
+                 "fit --input data.csv --out run --config run.conf",
+                 "config key segments: cannot parse 'eight'", id="config-unparsable-value"),
+    pytest.param({"data.csv": LINE_CSV, "run.conf": "segments 8\n"},
+                 "fit --input data.csv --out run --config run.conf",
+                 "run.conf: line 1: expected key=value", id="config-line-without-equals"),
+    pytest.param({}, "eval --out run", "eval needs --model and --out", id="eval-without-model"),
+])
+def test_config_errors_exit_1_with_one_error_line(tmp_path, capsys, monkeypatch, files, argv,
+                                                  message):
+    monkeypatch.chdir(tmp_path)
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    assert main(argv.split()) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and len(captured.err.splitlines()) == 1
+    assert message in captured.err
+    assert "Traceback" not in captured.out + captured.err
+    assert not (tmp_path / "run").exists()
 
 
 def test_fit_repair_flag_writes_report(tmp_path):

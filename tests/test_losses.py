@@ -157,6 +157,17 @@ def test_strain_examples():
     assert strain_loss(cube) == pytest.approx(12.0)
     line = model_from_global([0, 1], 1, [[3, 2]])
     assert strain_loss(line) == 0.0
+    # below degree 2 the strain term is exactly 0 in breakdown() and gradient()
+    xs = np.linspace(0.0, 2.0, 9)
+    samples = SampleSet(xs, np.cos(xs))
+    for degree in (0, 1):
+        model = SplineModel.from_breakpoints([0, 1, 2], degree,
+                                             coefficients=np.full((2, degree + 1), 0.5))
+        weighted, plain = (LossEngine(model, samples, LossConfig(lam=0.4, k=0, strain_weight=w))
+                           for w in (0.7, 0.0))
+        assert weighted.breakdown().strain == 0.0
+        assert weighted.breakdown() == plain.breakdown()
+        assert weighted.gradient().tobytes() == plain.gradient().tobytes()
 
 
 def test_strain_sums_over_segments():

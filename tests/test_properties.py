@@ -149,8 +149,7 @@ def solo_breakdown(engine, coeffs, lam):
              - np.einsum("bjt,bt->bj", basis_left, coeffs[left]))
     ck = float(np.einsum("bj,bj->", jumps, jumps)) / engine.ck_divisor
     upper = coeffs[:, 2:]
-    strain = (0.0 if engine.strain_tables is None
-              else float(np.einsum("is,ist,it->", upper, engine.strain_tables, upper)))
+    strain = float(np.einsum("is,ist,it->", upper, engine.strain_tables, upper))
     total = lam * l2 + (1.0 - lam) * ck + engine.config.strain_weight * strain
     return total, l2, ck, strain
 
