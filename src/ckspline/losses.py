@@ -47,7 +47,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .model import SampleSet, SplineModel, _boundaries, _locate, _one_sided
+from .model import BOUNDARY_MODES, SampleSet, SplineModel, _boundaries, _locate, _one_sided
 
 __all__ = [
     "BOUNDARY_MODES",
@@ -62,7 +62,6 @@ __all__ = [
     "fd_gradient",
 ]
 
-BOUNDARY_MODES = ("open", "cyclic", "periodic")
 # a stacked residual pass (_breakdowns) gathers an (n, d+1) sample table for
 # each coefficient set; _breakdowns takes its coefficient sets in passes whose
 # tables stay within about _RECORD_BYTES, and fd_gradient sizes its stacks of
@@ -153,30 +152,18 @@ def _l2_values(coeffs, seg, powers, ys):
     return coeffs.shape[1] / ys.size * (r[:, None, :] @ r[:, :, None])[:, 0, 0]
 
 
-def _boundary_bases(model: SplineModel, config: LossConfig):
-    """The boundaries the ck loss compares (model._boundaries), plus its divisor.
+def _ck_values(coeffs, bases):
+    """(L,) ck of an (L, m, d+1) coefficient stack, at the boundaries of bases.
 
-    The jumps at boundary b are right minus left one-sided derivative
-    values.  Cyclic mode zeroes the wrap-around boundary's value (j=0) rows,
-    so that jump is 0.
-    """
-    m = model.num_segments
-    wrap = config.boundary_mode != "open"
-    left, right, basis_left, basis_right = _boundaries(model, config.k, wrap)
-    if config.boundary_mode == "cyclic":
-        basis_left[-1, 0] = basis_right[-1, 0] = 0.0
-    return (left, right, basis_left, basis_right), (m if wrap else max(m - 1, 1))
-
-
-def _ck_values(coeffs, bases, divisor):
-    """(L,) ck of an (L, m, d+1) coefficient stack.
-
-    _one_sided gathers with take(), so the jumps are C-contiguous and each
-    run's sum is the same bits whatever it is stacked with, as in _l2_values.
+    The jumps are right minus left one-sided derivative values; their
+    squares are summed and divided by the boundary count, at least 1 (m in
+    cyclic and periodic mode, m-1 in open mode).  _one_sided gathers with
+    take(), so the jumps are C-contiguous and each run's sum is the same
+    bits whatever it is stacked with, as in _l2_values.
     """
     left_vals, right_vals = _one_sided(bases, coeffs)
     jumps = right_vals - left_vals
-    return np.einsum("rbj,rbj->r", jumps, jumps) / divisor
+    return np.einsum("rbj,rbj->r", jumps, jumps) / max(len(bases[0]), 1)
 
 
 def _strain_tables(model: SplineModel):
@@ -254,7 +241,7 @@ class LossEngine:
         self.config = config
         self.seg, self.powers = _sample_tables(model, samples)
         self.ys = samples.ys
-        self.bases, self.ck_divisor = _boundary_bases(model, config)
+        self.bases = _boundaries(model, config.k, config.boundary_mode)
         self.strain_tables = _strain_tables(model)
 
     @functools.cached_property
@@ -300,7 +287,7 @@ class LossEngine:
         # neighbour blocks, then the corner block (zero in open mode).  left
         # and right each name a segment at most once, so fancy-index += is exact.
         left, right, basis_left, basis_right = self.bases
-        ck_scale = 2.0 * (1.0 - lam) / self.ck_divisor
+        ck_scale = 2.0 * (1.0 - lam) / max(len(left), 1)
         diag[:, left] += ck_scale * np.einsum("bjs,bjt->bst", basis_left, basis_left)
         diag[:, right] += ck_scale * np.einsum("bjs,bjt->bst", basis_right, basis_right)
         after = np.zeros_like(diag)
@@ -340,7 +327,7 @@ class LossEngine:
         for start in range(0, len(coeffs), size):
             part = coeffs[start:start + size]
             terms += zip(_l2_values(part, self.seg, self.powers, self.ys).tolist(),
-                         _ck_values(part, self.bases, self.ck_divisor).tolist(),
+                         _ck_values(part, self.bases).tolist(),
                          _strain_values(part, self.strain_tables).tolist())
         rows = []
         for lam, (l2, ck, strain) in zip(lams, terms):
@@ -367,7 +354,8 @@ def ck_loss(model: SplineModel, config: LossConfig) -> float:
     Open mode with a single segment has no interior boundaries and scores 0.
     """
     _check_order(model, config)
-    return float(_ck_values(model.coefficients[None], *_boundary_bases(model, config))[0])
+    bases = _boundaries(model, config.k, config.boundary_mode)
+    return float(_ck_values(model.coefficients[None], bases)[0])
 
 
 def strain_loss(model: SplineModel) -> float:

@@ -32,6 +32,8 @@ __all__ = [
 # Relative grace band at the domain ends; absorbs the round-off picked up
 # when data endpoints travel through the affine map.
 EDGE_SLACK = 1e-12
+# How the last segment meets the first (_boundaries states what each compares).
+BOUNDARY_MODES = ("open", "cyclic", "periodic")
 
 
 class DomainError(ValueError):
@@ -278,22 +280,30 @@ def _derivative_basis(u, degree, k):
     return (factors * (distinct.view(float)[:, None] ** t).take(np.maximum(t - j, 0), axis=1))[which]
 
 
-def _boundaries(model: SplineModel, k: int, wrap: bool, block: slice = slice(None)):
-    """Segment rows and order-0..k derivative bases on both sides of the boundaries in block.
+def _boundaries(model: SplineModel, k: int, mode: str, block: slice = slice(None)):
+    """The boundaries that boundary mode compares, with their order-0..k derivative bases.
 
-    Boundary b joins row left[b] at its right end to row right[b] =
-    (left[b] + 1) mod m at its left end.  The m-1 interior boundaries come
-    first; with wrap, one wrap-around boundary follows, comparing derivative
-    values at xi_m and xi_0.  The default block is every boundary.
-    _one_sided turns the bases into values.
+    The one statement of which derivative jumps count: the ck loss
+    penalises them and repair_continuity closes and reports them.  Boundary
+    b joins row left[b] at its right end to row right[b] = (left[b] + 1) mod
+    m at its left end.  The m-1 interior boundaries come first; in cyclic
+    and periodic mode one wrap-around boundary follows, comparing derivative
+    values at xi_m and xi_0.  Cyclic mode compares only orders 1..k there,
+    so the order-0 rows of both its bases are zero, and so is its value
+    jump.  Returns (left, right, basis_left, basis_right) for the boundaries
+    in block, every boundary by default; _one_sided turns the bases into
+    values.
     """
     m = model.num_segments
     xi, centers = model.breakpoints, model.centers
-    left = np.arange(m - 1 + wrap)[block]
+    left = np.arange(m - (mode == "open"))[block]
     right = (left + 1) % m
-    return (left, right,
-            _derivative_basis(xi[left + 1] - centers[left], model.degree, k),
-            _derivative_basis(xi[right] - centers[right], model.degree, k))
+    basis_left = _derivative_basis(xi[left + 1] - centers[left], model.degree, k)
+    basis_right = _derivative_basis(xi[right] - centers[right], model.degree, k)
+    if mode == "cyclic":
+        wrap = left == m - 1
+        basis_left[wrap, 0] = basis_right[wrap, 0] = 0.0
+    return left, right, basis_left, basis_right
 
 
 def _one_sided(boundaries, coeffs):

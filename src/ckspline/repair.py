@@ -18,8 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .losses import BOUNDARY_MODES
-from .model import SplineModel, _boundaries, _derivative_basis, _one_sided
+from .model import BOUNDARY_MODES, SplineModel, _boundaries, _derivative_basis, _one_sided
 
 __all__ = [
     "ConditioningError",
@@ -46,7 +45,9 @@ class RepairReport:
     Rows follow the repaired boundaries left to right; a wrap-around
     boundary, when present, is reported last at position xi_m.  Columns are
     derivative orders 0..k (right value minus left value); mean_targets
-    holds the per-order mean derivative each boundary was moved to.
+    holds the per-order mean derivative each boundary was moved to.  Entries
+    the boundary mode does not compare (model._boundaries) read 0: in cyclic
+    mode, the wrap row's order-0 column of all three arrays.
     """
 
     positions: tuple[float, ...]
@@ -111,9 +112,11 @@ def repair_continuity(model: SplineModel, k: int, boundary_mode: str = "open"):
     a block of _BLOCK boundaries at a time, into one array.  Then each
     segment adds the corrector for its left end before the one for its
     right end, so results are bit-reproducible and do not depend on the
-    block size, and the jumps left are read a block at a time.  With cyclic
-    boundary handling the wrap-around boundary aligns derivatives 1..k and
-    leaves each endpoint value unchanged; periodic aligns the values too.
+    block size, and the jumps left are read a block at a time.  Which
+    boundaries are repaired, and which jumps at each, is model._boundaries'
+    rule for boundary_mode, the one the ck loss penalises: in cyclic mode
+    the wrap-around boundary aligns derivatives 1..k and leaves each
+    endpoint value unchanged; periodic aligns the values too.
     """
     if k < 0:
         raise ValueError("continuity order k must be >= 0")
@@ -126,23 +129,19 @@ def repair_continuity(model: SplineModel, k: int, boundary_mode: str = "open"):
         )
 
     xi, centers = model.breakpoints, model.centers
-    wrap = boundary_mode != "open"
-    count = model.num_segments - 1 + wrap
+    count = model.num_segments - (boundary_mode == "open")
     blocks = [slice(start, start + _BLOCK) for start in range(0, count, _BLOCK)]
     width = 2 * k + 2
     # corrections[0, b] goes to right[b]'s left end, corrections[1, b] to left[b]'s right end
     corrections = np.empty((2, count, width))
     pre, means, post = (np.empty((count, k + 1)) for _ in range(3))
     for block in blocks:
-        bases = _boundaries(model, k, wrap, block)
+        bases = _boundaries(model, k, boundary_mode, block)
         left, right = bases[:2]
         left_vals, right_vals = _one_sided(bases, model.coefficients)
         pre[block] = right_vals - left_vals
         means[block] = 0.5 * (left_vals + right_vals)
         target_left, target_right = means[block] - left_vals, means[block] - right_vals
-        if boundary_mode == "cyclic" and block.stop >= count:
-            # the wrap value is allowed to differ; only derivatives align
-            target_left[-1, 0] = target_right[-1, 0] = 0.0
         # one system per corrected side: right[b]'s left end, then left[b]'s right end
         sides = np.concatenate([right, left])
         zeros = np.zeros_like(left_vals)
@@ -154,7 +153,7 @@ def repair_continuity(model: SplineModel, k: int, boundary_mode: str = "open"):
     repaired.coefficients[(left + 1) % model.num_segments, :width] += corrections[0]
     repaired.coefficients[left, :width] += corrections[1]
     for block in blocks:
-        post_left, post_right = _one_sided(_boundaries(model, k, wrap, block),
+        post_left, post_right = _one_sided(_boundaries(model, k, boundary_mode, block),
                                            repaired.coefficients)
         post[block] = post_right - post_left
 

@@ -147,7 +147,7 @@ def solo_breakdown(engine, coeffs, lam):
     left, right, basis_left, basis_right = engine.bases
     jumps = (np.einsum("bjt,bt->bj", basis_right, coeffs[right])
              - np.einsum("bjt,bt->bj", basis_left, coeffs[left]))
-    ck = float(np.einsum("bj,bj->", jumps, jumps)) / engine.ck_divisor
+    ck = float(np.einsum("bj,bj->", jumps, jumps)) / max(len(left), 1)
     upper = coeffs[:, 2:]
     strain = float(np.einsum("is,ist,it->", upper, engine.strain_tables, upper))
     total = lam * l2 + (1.0 - lam) * ck + engine.config.strain_weight * strain
@@ -237,16 +237,30 @@ def test_repair_is_exact(problem):
     pre_left, pre_right = one_sided_reference(model, k, mode)
     post_left, post_right = one_sided_reference(repaired, k, mode)
     scale = 1.0 + np.abs(pre_left).max(initial=0.0) + np.abs(pre_right).max(initial=0.0)
-    assert_allclose(report.pre_defects, pre_right - pre_left, rtol=0.0, atol=1e-12 * scale)
-    assert_allclose(report.mean_targets, 0.5 * (pre_left + pre_right), rtol=0.0,
-                    atol=1e-12 * scale)
-    expected = np.zeros_like(pre_left)
+    pre_jumps, means = pre_right - pre_left, 0.5 * (pre_left + pre_right)
+    post_jumps = post_right - post_left
     if mode == "cyclic":
-        # the wrap keeps both endpoint values, and so its value jump
-        expected[-1, 0] = pre_right[-1, 0] - pre_left[-1, 0]
+        # the wrap keeps both endpoint values, and so its value jump, which
+        # the mode does not compare: the report reads 0 there
         assert_allclose(post_left[-1, 0], pre_left[-1, 0], rtol=0.0, atol=1e-12 * scale)
-    assert_allclose(post_right - post_left, expected, rtol=0.0, atol=1e-10 * scale)
-    assert_allclose(report.post_defects, expected, rtol=0.0, atol=1e-10 * scale)
+        assert_allclose(post_right[-1, 0], pre_right[-1, 0], rtol=0.0, atol=1e-12 * scale)
+        for table in (pre_jumps, means, post_jumps):
+            table[-1, 0] = 0.0
+    assert_allclose(report.pre_defects, pre_jumps, rtol=0.0, atol=1e-12 * scale)
+    assert_allclose(report.mean_targets, means, rtol=0.0, atol=1e-12 * scale)
+    assert_allclose(post_jumps, 0.0, rtol=0.0, atol=1e-10 * scale)
+    assert_allclose(report.post_defects, 0.0, rtol=0.0, atol=1e-10 * scale)
+
+
+@PROPERTY
+@given(repair_problems())
+def test_repair_report_holds_the_jumps_the_ck_loss_counts(problem):
+    # one boundary rule for both: the report's pre-repair defects, squared and
+    # equilibrated as the ck term is, give the ck loss in every mode
+    model, k, mode = problem
+    _, report = repair_continuity(model, k, mode)
+    expected = float(np.sum(report.pre_defects**2)) / max(len(report.positions), 1)
+    assert ck_loss(model, LossConfig(0.5, k, mode)) == pytest.approx(expected, rel=1e-12)
 
 
 @PROPERTY

@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -63,6 +64,22 @@ def test_hermite_reproduces_prescribed_derivatives():
 def test_hermite_rejects_bad_interval():
     with pytest.raises(ValueError, match="left_x"):
         two_point_hermite(1.0, [0.0], 0.0, [1.0], 0.0)
+
+
+@pytest.mark.parametrize("call, message", [
+    pytest.param(lambda model: two_point_hermite(0.0, [1.0, 2.0], 1.0, [1.0], 0.5),
+                 "need matching derivative value lists for both endpoints",
+                 id="hermite-mismatched-lists"),
+    pytest.param(lambda model: repair_continuity(model, -1), "continuity order k must be >= 0",
+                 id="negative-k"),
+    pytest.param(lambda model: repair_continuity(model, 1, "mirror"),
+                 "boundary_mode must be one of ('open', 'cyclic', 'periodic')",
+                 id="unknown-mode"),
+])
+def test_repair_validation(call, message):
+    model = SplineModel.from_breakpoints([0, 1, 2], 3)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call(model)
 
 
 def test_hermite_conditioning_guard():
@@ -244,13 +261,11 @@ def per_side_repair(model, k, mode):
     largest correction.
     """
     xi, centers = model.breakpoints, model.centers
-    bases = _boundaries(model, k, mode != "open")
+    bases = _boundaries(model, k, mode)
     left, right = bases[:2]
     left_vals, right_vals = _one_sided(bases, model.coefficients)
     means = 0.5 * (left_vals + right_vals)
     target_left, target_right = means - left_vals, means - right_vals
-    if mode == "cyclic":
-        target_left[-1, 0] = target_right[-1, 0] = 0.0
     zeros = np.zeros(k + 1)
     coeffs = model.coefficients.copy()
     width = 2 * k + 2
