@@ -463,7 +463,7 @@ def _cmd_eval(args) -> int:
         raise ValueError("eval needs --model and --out")
     _check_resolution(manifest)
     if manifest.k < 0:
-        raise ValueError(f"k must be >= 0, got {manifest.k}")
+        raise ValueError(f"--k must be >= 0, got {manifest.k}")
     model = load_model(manifest.model)
     if manifest.k > model.degree:
         # every derivative column past the degree is zero

@@ -1,3 +1,4 @@
+import argparse
 import io
 import json
 import tracemalloc
@@ -49,6 +50,14 @@ def test_load_samples_basic(tmp_path):
     samples = load_samples(path)
     assert len(samples) == 2
     assert_allclose(samples.xs, [0.0, 1.0])
+
+
+def test_load_samples_skips_blank_rows(tmp_path):
+    path = tmp_path / "data.csv"
+    path.write_text("x,y\n0,0\n\n1,2\n\n")
+    samples = load_samples(path)
+    assert_allclose(samples.xs, [0.0, 1.0])
+    assert_allclose(samples.ys, [0.0, 2.0])
 
 
 def test_load_samples_sorts_stably(tmp_path):
@@ -376,7 +385,7 @@ def test_eval_negative_k_is_config_error(tmp_path, capsys, k):
     save_model(model_from_global([0, 1, 2], 3, [[0.0], [1.0]]), path)
     out = tmp_path / "curve"
     assert main(["eval", "--model", str(path), "--out", str(out), "--k", k]) == 1
-    assert capsys.readouterr().err == f"error: k must be >= 0, got {k}\n"
+    assert capsys.readouterr().err == f"error: --k must be >= 0, got {k}\n"
     assert not out.exists()
 
 
@@ -506,6 +515,14 @@ def test_config_file_booleans_and_strings(tmp_path):
     )
     assert main(["fit", "--config", str(config)]) == 0
     assert (out / "repair.json").exists()
+
+
+@pytest.mark.parametrize("raw, expected", [("no", False), ("OFF", False), ("0", False),
+                                           ("false", False), ("yes", True), ("On", True)])
+def test_config_file_boolean_spellings(tmp_path, raw, expected):
+    config = tmp_path / "run.conf"
+    config.write_text(f"repair = {raw}\n")
+    assert cli._build_manifest(argparse.Namespace(config=str(config))).repair is expected
 
 
 def test_fit_unknown_config_key(tmp_path, capsys):
@@ -681,6 +698,20 @@ def test_sweep_three_lambdas(tmp_path):
     rows = (out / "summary.csv").read_text().splitlines()
     assert rows[0] == "lambda,total,l2,ck,post_repair_max_defect"
     assert len(rows) == 4
+
+
+def test_cyclic_sweep_summary_reports_the_repaired_defects(tmp_path):
+    # cyclic mode compares only derivatives 1..k at the wrap, whose two end
+    # values stay apart; the summary's defect is of the jumps repair closes
+    data = write_benchmark_data(tmp_path / "bench.csv")
+    out = tmp_path / "sweep"
+    assert main(["sweep", "--input", str(data), "--out", str(out), "--boundary-mode", "cyclic",
+                 "--segments", "8", "--degree", "5", "--k", "2", "--epochs", "200",
+                 "--lambdas", "1,0.5,0.1", "--strain-weight", "0.001"]) == 0
+    rows = (out / "summary.csv").read_text().splitlines()[1:]
+    assert len(rows) == 3
+    for row in rows:
+        assert float(row.split(",")[-1]) <= 1e-9
 
 
 def test_sweep_empty_lambda_list(tmp_path, capsys):

@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 import zlib
 
@@ -145,6 +146,21 @@ def test_ck_order_exceeds_degree():
     model = SplineModel.from_breakpoints([0, 1, 2], 1)
     with pytest.raises(ValueError, match="exceeds"):
         ck_loss(model, LossConfig(lam=0.5, k=2))
+
+
+@pytest.mark.parametrize("fields, message", [
+    pytest.param({"k": 1.5}, "continuity order k must be a non-negative integer",
+                 id="non-integer-k"),
+    pytest.param({"boundary_mode": "mirror"},
+                 "boundary_mode must be one of ('open', 'cyclic', 'periodic')", id="unknown-mode"),
+    pytest.param({"strain_weight": math.nan}, "strain_weight must be finite and >= 0",
+                 id="nan-strain-weight"),
+    pytest.param({"strain_weight": -1e-3}, "strain_weight must be finite and >= 0",
+                 id="negative-strain-weight"),
+])
+def test_loss_config_validation(fields, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        LossConfig(**fields)
 
 
 # ---------------------------------------------------------------- strain

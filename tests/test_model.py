@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -156,6 +157,27 @@ def test_model_validation():
         SplineModel(np.array([0.0, 1.0]), 1, np.zeros((1, 2)), np.array([0.3]))
     with pytest.raises(ValueError, match="invertible"):
         DomainMap(0.0, 1.0)
+
+
+@pytest.mark.parametrize("build, message", [
+    pytest.param(lambda: DomainMap(math.inf, 0.0), "domain map parameters must be finite",
+                 id="domain-map-not-finite"),
+    pytest.param(lambda: SampleSet([0.0, 1.0], [0.0, 1.0, 2.0]),
+                 "xs and ys must be one-dimensional and the same length", id="sample-shapes"),
+    pytest.param(lambda: SplineModel.from_breakpoints([0.0], 1),
+                 "need at least one segment (two breakpoints)", id="one-breakpoint"),
+    pytest.param(lambda: SplineModel.from_breakpoints([0.0, 1.0], 1.5, np.zeros((1, 2))),
+                 "degree must be a non-negative integer", id="non-integer-degree"),
+    pytest.param(lambda: SplineModel.from_breakpoints([0.0, 1.0], 1, domain_map=(1.0, 0.0)),
+                 "domain_map must be a DomainMap", id="domain-map-not-a-DomainMap"),
+    pytest.param(lambda: evaluate(model_from_global([0, 1], 1, [[0.0, 1.0]]), 0.5, j=-1),
+                 "derivative order must be >= 0", id="evaluate-negative-order"),
+    pytest.param(lambda: rebase([1.0, 2.0], 0.0, math.nan), "rebase requires finite inputs",
+                 id="rebase-not-finite"),
+])
+def test_invalid_inputs_raise_value_error(build, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        build()
 
 
 def test_sample_set_validation():

@@ -6,6 +6,7 @@ give the same text byte for byte.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
@@ -99,3 +100,14 @@ def test_exponent_estimate_off_by_one_falls_back(monkeypatch):
     values = rng.standard_normal(20_000) * 10.0 ** rng.integers(-29, 17, 20_000)
     monkeypatch.setattr(np, "log10", missing_log10)
     assert_rows_match(values, "csv")
+
+
+@pytest.mark.parametrize("literal", [8, 9])
+def test_kernel_literals_up_to_8_bytes(literal):
+    # a value's text and the literal after it share one 32-byte record slot
+    row, table = "%.17g" + "x" * literal, np.arange(_text._SMALL, dtype=float)
+    if literal > 8:
+        with pytest.raises(ValueError, match="row template literal too long"):
+            list(cli._rows(table, row, ""))
+    else:
+        assert "".join(cli._rows(table, row, "")) == stdlib_text(table, row, "")

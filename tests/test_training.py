@@ -307,6 +307,23 @@ def test_train_config_validation():
         TrainConfig(record_every=0)
 
 
+@pytest.mark.parametrize("call, message", [
+    pytest.param(lambda: TrainConfig(degree=-1), "degree must be >= 0", id="negative-degree"),
+    pytest.param(lambda: TrainConfig(init="ones"), "init must be one of", id="unknown-init"),
+    pytest.param(lambda: TrainConfig(scaling="log"), "scaling must be one of",
+                 id="unknown-scaling"),
+    pytest.param(lambda: regularization_vector(-1), "degree must be >= 0",
+                 id="regularization-negative-degree"),
+    pytest.param(lambda: make_scaled_problem(line_samples(), 2, 1, "log"),
+                 "scaling must be one of", id="problem-unknown-scaling"),
+    pytest.param(lambda: make_scaled_problem(line_samples(), 0, 1),
+                 "need segments >= 1 and degree >= 0", id="problem-no-segments"),
+])
+def test_training_validation(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
 # ------------------------------------------------ lockstep sweeps
 
 
