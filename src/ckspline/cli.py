@@ -11,8 +11,10 @@ through the %-format itself.  So reloading is lossless (load_model reads the
 byte-identical.  load_model accepts only JSON numbers that fit a double in
 the numeric fields.
 
-Exit codes: 0 success, 1 configuration error (including a malformed
-model file or an ill-conditioned repair), 2 divergence, 3 I/O error.
+Every command checks its flags before it reads a file.  Exit codes: 0
+success, 1 configuration error (including a malformed or unknown flag, a
+malformed model file or an ill-conditioned repair), 2 divergence, 3 I/O
+error.
 """
 
 from __future__ import annotations
@@ -80,7 +82,6 @@ class RunManifest:
     resolution: int = 33
     record_every: int = 10
     repair: bool = False
-    seed: int = 0  # reserved; training is deterministic
 
     def to_train_config(self) -> TrainConfig:
         return TrainConfig(
@@ -269,20 +270,19 @@ def _write_repair_report(report, path: Path):
 
 def run(manifest: RunManifest) -> int:
     """Fit per the manifest and write all result files; see module exit codes."""
-    _check_fit(manifest)
-    samples = load_samples(manifest.input)
-    return _write_fit(manifest, fit(samples, manifest.to_train_config()))[0]
+    _check_manifest(manifest, "fit", "input")
+    config = manifest.to_train_config()
+    return _write_fit(manifest, fit(load_samples(manifest.input), config))[0]
 
 
-def _check_resolution(manifest: RunManifest):
+def _check_manifest(manifest: RunManifest, command: str, source: str):
+    """The flag checks all commands share; source names the input path's flag."""
+    if not getattr(manifest, source) or not manifest.out:
+        raise ValueError(f"{command} needs --{source} and --out")
     if manifest.resolution < 2:
-        raise ValueError("resolution must be >= 2")
-
-
-def _check_fit(manifest: RunManifest):
-    _check_resolution(manifest)
-    if not manifest.input or not manifest.out:
-        raise ValueError("input and out paths must be set")
+        raise ValueError(f"--resolution must be >= 2, got {manifest.resolution}")
+    if manifest.k < 0:
+        raise ValueError(f"--k must be >= 0, got {manifest.k}")
 
 
 def _write_fit(manifest: RunManifest, report):
@@ -319,17 +319,14 @@ def sweep(manifest: RunManifest, lambda_values) -> int:
     (training.fit_sweep); each lambda's files are then written in order,
     and the first diverged lambda ends the sweep with exit code 2.
     """
+    _check_manifest(manifest, "sweep", "input")
     values = list(lambda_values)
     if not values:
-        raise ValueError("lambda list must not be empty")
-    for value in values:
-        if not 0.0 <= value <= 1.0:
-            raise ValueError(f"lambda must lie in [0, 1], got {value}")
+        raise ValueError("--lambdas must not be empty")
     if manifest.degree < 2 * manifest.k + 1:
         raise ValueError(
             f"sweep repairs each fit and needs degree >= 2k+1 = {2 * manifest.k + 1}"
         )
-    _check_fit(manifest)
     outdir = Path(manifest.out)
     seen: dict[str, int] = {}
     subs = []
@@ -339,8 +336,8 @@ def sweep(manifest: RunManifest, lambda_values) -> int:
         if seen[name] > 1:
             name = f"{name}_{seen[name]}"
         subs.append(replace(manifest, lam=value, out=str(outdir / name), repair=True))
-    samples = load_samples(manifest.input)
-    reports = fit_sweep(samples, subs[0].to_train_config(), values)
+    configs = [sub.to_train_config() for sub in subs]  # LossConfig checks each lambda
+    reports = fit_sweep(load_samples(manifest.input), configs[0], values)
     rows = []
     for sub, report in zip(subs, reports):
         code, repair_report = _write_fit(sub, report)
@@ -426,8 +423,7 @@ def _add_common(parser: argparse.ArgumentParser):
 
 
 def _cmd_fit(args) -> int:
-    manifest = _build_manifest(args)
-    return run(manifest)
+    return run(_build_manifest(args))
 
 
 def _cmd_sweep(args) -> int:
@@ -444,8 +440,7 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_repair(args) -> int:
     manifest = _build_manifest(args)
-    if not manifest.model or not manifest.out:
-        raise ValueError("repair needs --model and --out")
+    _check_manifest(manifest, "repair", "model")
     model = load_model(manifest.model)
     repaired, report = repair_continuity(model, manifest.k, manifest.boundary_mode)
     outdir = Path(manifest.out)
@@ -459,11 +454,7 @@ def _cmd_repair(args) -> int:
 
 def _cmd_eval(args) -> int:
     manifest = _build_manifest(args)
-    if not manifest.model or not manifest.out:
-        raise ValueError("eval needs --model and --out")
-    _check_resolution(manifest)
-    if manifest.k < 0:
-        raise ValueError(f"--k must be >= 0, got {manifest.k}")
+    _check_manifest(manifest, "eval", "model")
     model = load_model(manifest.model)
     if manifest.k > model.degree:
         # every derivative column past the degree is zero
@@ -474,8 +465,15 @@ def _cmd_eval(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a bad flag as a ValueError, so it exits 1 as a bad config value does."""
+
+    def error(self, message):
+        raise ValueError(message)
+
+
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="ckspline",
         description="Piecewise-polynomial curve fitting with gradient descent "
                     "and exact continuity repair.",
@@ -509,8 +507,8 @@ def main(argv=None) -> int:
     eval_parser.add_argument("--k", type=int, help="highest derivative column")
     eval_parser.set_defaults(handler=_cmd_eval)
 
-    args = parser.parse_args(argv)
     try:
+        args = parser.parse_args(argv)
         return args.handler(args)
     except (ValueError, ConditioningError) as exc:
         print(f"error: {exc}", file=sys.stderr)

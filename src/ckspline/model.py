@@ -195,8 +195,8 @@ def segment_index(model: SplineModel, x: float) -> int:
 
 def _derivative_coefficients(coeffs, j):
     """Coefficients of the j-th derivative, in the same shifted basis, of every row."""
-    if j < 0:
-        raise ValueError("derivative order must be >= 0")
+    if not isinstance(j, (int, np.integer)) or j < 0:
+        raise ValueError(f"derivative order must be >= 0 and an integer, got {j!r}")
     d = coeffs.shape[1] - 1
     if j > d:
         return np.zeros((coeffs.shape[0], 1))
@@ -280,6 +280,11 @@ def _derivative_basis(u, degree, k):
     return (factors * (distinct.view(float)[:, None] ** t).take(np.maximum(t - j, 0), axis=1))[which]
 
 
+def _boundary_count(model: SplineModel, mode: str) -> int:
+    """How many boundaries mode compares: m-1 in open mode, m with the wrap."""
+    return model.num_segments - (mode == "open")
+
+
 def _boundaries(model: SplineModel, k: int, mode: str, block: slice = slice(None)):
     """The boundaries that boundary mode compares, with their order-0..k derivative bases.
 
@@ -296,7 +301,7 @@ def _boundaries(model: SplineModel, k: int, mode: str, block: slice = slice(None
     """
     m = model.num_segments
     xi, centers = model.breakpoints, model.centers
-    left = np.arange(m - (mode == "open"))[block]
+    left = np.arange(_boundary_count(model, mode))[block]
     right = (left + 1) % m
     basis_left = _derivative_basis(xi[left + 1] - centers[left], model.degree, k)
     basis_right = _derivative_basis(xi[right] - centers[right], model.degree, k)

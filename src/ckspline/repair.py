@@ -18,7 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import BOUNDARY_MODES, SplineModel, _boundaries, _derivative_basis, _one_sided
+from .model import (BOUNDARY_MODES, SplineModel, _boundaries, _boundary_count, _derivative_basis,
+                    _one_sided)
 
 __all__ = [
     "ConditioningError",
@@ -118,8 +119,8 @@ def repair_continuity(model: SplineModel, k: int, boundary_mode: str = "open"):
     the wrap-around boundary aligns derivatives 1..k and leaves each
     endpoint value unchanged; periodic aligns the values too.
     """
-    if k < 0:
-        raise ValueError("continuity order k must be >= 0")
+    if not isinstance(k, (int, np.integer)) or k < 0:
+        raise ValueError(f"continuity order k must be >= 0 and an integer, got {k!r}")
     if boundary_mode not in BOUNDARY_MODES:
         raise ValueError(f"boundary_mode must be one of {BOUNDARY_MODES}")
     if model.degree < 2 * k + 1:
@@ -129,7 +130,7 @@ def repair_continuity(model: SplineModel, k: int, boundary_mode: str = "open"):
         )
 
     xi, centers = model.breakpoints, model.centers
-    count = model.num_segments - (boundary_mode == "open")
+    count = _boundary_count(model, boundary_mode)
     blocks = [slice(start, start + _BLOCK) for start in range(0, count, _BLOCK)]
     width = 2 * k + 2
     # corrections[0, b] goes to right[b]'s left end, corrections[1, b] to left[b]'s right end

@@ -510,7 +510,6 @@ def test_config_file_booleans_and_strings(tmp_path):
             "regularization = degree_based",
             "boundary-mode = cyclic",  # hyphenated keys accepted
             "repair = yes",
-            "seed = 7",
         ]) + "\n"
     )
     assert main(["fit", "--config", str(config)]) == 0
@@ -557,6 +556,9 @@ LINE_CSV = "x,y\n0,0\n0.5,0.5\n1,1\n"
                  "fit --input data.csv --out run --config run.conf",
                  "run.conf: line 1: expected key=value", id="config-line-without-equals"),
     pytest.param({}, "eval --out run", "eval needs --model and --out", id="eval-without-model"),
+    pytest.param({"data.csv": LINE_CSV, "run.conf": "seed = 7\n"},
+                 "fit --input data.csv --out run --config run.conf",
+                 "unknown config key 'seed'", id="config-seed-is-unknown"),
 ])
 def test_config_errors_exit_1_with_one_error_line(tmp_path, capsys, monkeypatch, files, argv,
                                                   message):
@@ -569,6 +571,33 @@ def test_config_errors_exit_1_with_one_error_line(tmp_path, capsys, monkeypatch,
     assert message in captured.err
     assert "Traceback" not in captured.out + captured.err
     assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    ("fit --input data.csv --out run --lr 0", "learning_rate must be > 0"),
+    ("fit --input data.csv --out run --segments 0", "segments must be >= 1"),
+    ("fit --input data.csv --out run --lambda 2", "lam must lie in [0, 1], got 2.0"),
+    ("fit --input data.csv --out run --k -1", "--k must be >= 0, got -1"),
+    ("fit --input data.csv --out run --resolution 1", "--resolution must be >= 2, got 1"),
+    ("fit --input data.csv --out run --segments abc", "argument --segments: invalid int value"),
+    ("fit --input data.csv --out run --optimizer rmsprop", "argument --optimizer: invalid choice"),
+    ("fit --input data.csv --out run --bogus 1", "unrecognized arguments: --bogus 1"),
+    ("sweep --input data.csv --out run --lambdas 2", "lam must lie in [0, 1], got 2.0"),
+    ("sweep --input data.csv --out run --lambdas ,", "--lambdas must not be empty"),
+    ("repair --model model.json --out run --k -1", "--k must be >= 0, got -1"),
+    ("eval --model model.json --out run --k -1", "--k must be >= 0, got -1"),
+    ("eval --model model.json --out run --resolution 1", "--resolution must be >= 2, got 1"),
+    ("", "the following arguments are required: command"),
+])
+def test_bad_flag_exits_1_before_any_file_is_read(tmp_path, capsys, monkeypatch, argv, message):
+    # neither data.csv nor model.json exists, so a read would exit 3
+    monkeypatch.chdir(tmp_path)
+    assert main(argv.split()) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and len(captured.err.splitlines()) == 1
+    assert message in captured.err
+    assert "Traceback" not in captured.out + captured.err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_fit_repair_flag_writes_report(tmp_path):
@@ -754,7 +783,7 @@ def test_sweep_without_out_writes_nothing(tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(work)
     assert main(["sweep", "--input", str(data), "--lambdas", "1,0",
                  "--segments", "2", "--epochs", "5"]) == 1
-    assert capsys.readouterr().err == "error: input and out paths must be set\n"
+    assert capsys.readouterr().err == "error: sweep needs --input and --out\n"
     assert list(work.iterdir()) == []
 
 

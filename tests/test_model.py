@@ -172,6 +172,12 @@ def test_model_validation():
                  "domain_map must be a DomainMap", id="domain-map-not-a-DomainMap"),
     pytest.param(lambda: evaluate(model_from_global([0, 1], 1, [[0.0, 1.0]]), 0.5, j=-1),
                  "derivative order must be >= 0", id="evaluate-negative-order"),
+    pytest.param(lambda: evaluate(model_from_global([0, 1], 1, [[0.0, 1.0]]), 0.5, 1.5),
+                 "derivative order must be >= 0 and an integer, got 1.5",
+                 id="evaluate-non-integer-order"),
+    pytest.param(lambda: eval_segment(model_from_global([0, 1], 1, [[0.0, 1.0]]), 1, 0.5, 1.5),
+                 "derivative order must be >= 0 and an integer, got 1.5",
+                 id="eval-segment-non-integer-order"),
     pytest.param(lambda: rebase([1.0, 2.0], 0.0, math.nan), "rebase requires finite inputs",
                  id="rebase-not-finite"),
 ])

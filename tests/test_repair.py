@@ -72,6 +72,8 @@ def test_hermite_rejects_bad_interval():
                  id="hermite-mismatched-lists"),
     pytest.param(lambda model: repair_continuity(model, -1), "continuity order k must be >= 0",
                  id="negative-k"),
+    pytest.param(lambda model: repair_continuity(model, 0.5),
+                 "continuity order k must be >= 0 and an integer, got 0.5", id="non-integer-k"),
     pytest.param(lambda model: repair_continuity(model, 1, "mirror"),
                  "boundary_mode must be one of ('open', 'cyclic', 'periodic')",
                  id="unknown-mode"),
