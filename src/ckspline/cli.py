@@ -32,7 +32,7 @@ import numpy as np
 
 from ._text import _NUMBER, _block_rows, _rows
 from .losses import BOUNDARY_MODES, LossConfig
-from .model import DomainMap, SampleSet, SplineModel, _derivatives, evaluate
+from .model import DomainMap, SampleSet, SplineModel, _check_boundary_mode, _derivatives, evaluate
 from .optimizers import OPTIMIZER_KINDS, OptimizerConfig
 from .repair import ConditioningError, repair_continuity
 from .training import INITS, REGULARIZATIONS, SCALINGS, TrainConfig, fit, fit_sweep
@@ -283,6 +283,7 @@ def _check_manifest(manifest: RunManifest, command: str, source: str):
         raise ValueError(f"--resolution must be >= 2, got {manifest.resolution}")
     if manifest.k < 0:
         raise ValueError(f"--k must be >= 0, got {manifest.k}")
+    _check_boundary_mode(manifest.boundary_mode)
 
 
 def _write_fit(manifest: RunManifest, report):
@@ -292,7 +293,7 @@ def _write_fit(manifest: RunManifest, report):
     """
     outdir = Path(manifest.out)
     outdir.mkdir(parents=True, exist_ok=True)
-    _write_csv(outdir / "history.csv", "epoch,total,l2,ck,strain", report.history)
+    _write_csv(outdir / "history.csv", "epoch,total,l2,ck,strain", report.table)
     if report.diverged:
         cause = ("loss became non-finite" if report.diverged_segment is None else
                  f"non-finite gradient at segment {report.diverged_segment}, "
@@ -306,9 +307,8 @@ def _write_fit(manifest: RunManifest, report):
         _write_repair_report(repair_report, outdir / "repair.json")
     save_model(model, outdir / "model.json")
     _write_curve(model, manifest.k, manifest.resolution, outdir / "curve.csv")
-    final = report.history[-1]
-    print(f"fit: {manifest.epochs} epochs, final total={final.total:.6g} "
-          f"l2={final.l2:.6g} ck={final.ck:.6g}")
+    _, total, l2, ck, _ = report.table[-1].tolist()
+    print(f"fit: {manifest.epochs} epochs, final total={total:.6g} l2={l2:.6g} ck={ck:.6g}")
     return 0, repair_report
 
 
@@ -343,9 +343,8 @@ def sweep(manifest: RunManifest, lambda_values) -> int:
         code, repair_report = _write_fit(sub, report)
         if code != 0:
             return code
-        final = report.history[-1]
-        rows.append((sub.lam, final.total, final.l2, final.ck,
-                     np.abs(repair_report.post_defects).max(initial=0.0)))
+        _, total, l2, ck, _ = report.table[-1].tolist()
+        rows.append((sub.lam, total, l2, ck, np.abs(repair_report.post_defects).max(initial=0.0)))
     _write_csv(outdir / "summary.csv", "lambda,total,l2,ck,post_repair_max_defect", rows)
     return 0
 

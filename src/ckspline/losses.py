@@ -47,7 +47,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .model import BOUNDARY_MODES, SampleSet, SplineModel, _boundaries, _locate, _one_sided
+from .model import (BOUNDARY_MODES, SampleSet, SplineModel, _boundaries, _check_boundary_mode,
+                    _locate, _one_sided)
 
 __all__ = [
     "BOUNDARY_MODES",
@@ -83,8 +84,7 @@ class LossConfig:
             raise ValueError(f"lam must lie in [0, 1], got {self.lam}")
         if not isinstance(self.k, (int, np.integer)) or self.k < 0:
             raise ValueError("continuity order k must be a non-negative integer")
-        if self.boundary_mode not in BOUNDARY_MODES:
-            raise ValueError(f"boundary_mode must be one of {BOUNDARY_MODES}")
+        _check_boundary_mode(self.boundary_mode)
         if not (math.isfinite(self.strain_weight) and self.strain_weight >= 0.0):
             raise ValueError("strain_weight must be finite and >= 0")
 
@@ -97,11 +97,9 @@ class LossBreakdown:
     strain: float
 
 
-def _check_order(model: SplineModel, config: LossConfig):
-    if config.k > model.degree:
-        raise ValueError(
-            f"continuity order k={config.k} exceeds spline degree {model.degree}"
-        )
+def _check_order(k: int, degree: int):
+    if k > degree:
+        raise ValueError(f"continuity order k={k} exceeds spline degree {degree}")
 
 
 def _sample_tables(model: SplineModel, samples: SampleSet):
@@ -236,7 +234,7 @@ class LossEngine:
     """
 
     def __init__(self, model: SplineModel, samples: SampleSet, config: LossConfig):
-        _check_order(model, config)
+        _check_order(config.k, model.degree)
         self.model = model
         self.config = config
         self.seg, self.powers = _sample_tables(model, samples)
@@ -353,7 +351,7 @@ def ck_loss(model: SplineModel, config: LossConfig) -> float:
 
     Open mode with a single segment has no interior boundaries and scores 0.
     """
-    _check_order(model, config)
+    _check_order(config.k, model.degree)
     bases = _boundaries(model, config.k, config.boundary_mode)
     return float(_ck_values(model.coefficients[None], bases)[0])
 

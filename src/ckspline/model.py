@@ -36,6 +36,11 @@ EDGE_SLACK = 1e-12
 BOUNDARY_MODES = ("open", "cyclic", "periodic")
 
 
+def _check_boundary_mode(mode: str):
+    if mode not in BOUNDARY_MODES:
+        raise ValueError(f"boundary_mode must be one of {BOUNDARY_MODES}")
+
+
 class DomainError(ValueError):
     """An abscissa fell outside the spline's domain."""
 

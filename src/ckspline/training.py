@@ -5,7 +5,8 @@ g.c with the coefficients c, optionally the degree-based gradient
 regularization, and one optimizer update, for every lambda of a sweep at
 once, and keeps a copy of the coefficients it started from.  After a block
 of epochs the exact loss values of the block's record epochs are computed
-from those copies for all lambdas at once.  Runs are deterministic.
+from those copies for all lambdas at once, and each run's rows go into its
+one float table.  Runs are deterministic.
 
 A run stops at its first epoch whose g.c or recorded residual total is not
 finite.  That is a divergence, reported with the run and not raised.
@@ -20,7 +21,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .losses import _RECORD_BYTES, LossConfig, LossEngine, _count_groups, _sample_tables
+from .losses import (_RECORD_BYTES, LossConfig, LossEngine, _check_order, _count_groups,
+                     _sample_tables)
 from .model import DomainMap, SampleSet, SplineModel
 from .optimizers import OptimizerConfig, _first_non_finite, _update, init_state
 
@@ -65,6 +67,7 @@ class TrainConfig:
             raise ValueError("segments must be >= 1")
         if self.degree < 0:
             raise ValueError("degree must be >= 0")
+        _check_order(self.loss.k, self.degree)
         if self.epochs < 0:
             raise ValueError("epochs must be >= 0")
         if self.regularization not in REGULARIZATIONS:
@@ -87,7 +90,14 @@ class HistoryRow(NamedTuple):
 
 @dataclass
 class TrainingReport:
-    history: list[HistoryRow]
+    """One run's recorded rows, final model and divergence.
+
+    table holds one (epoch, total, l2, ck, strain) row per recorded epoch,
+    as a (rows, 5) float64 array; history gives the same rows as
+    HistoryRows with int epochs, built on each access.
+    """
+
+    table: np.ndarray
     final_model: SplineModel
     diverged: bool = False
     diverged_epoch: int | None = None
@@ -96,6 +106,10 @@ class TrainingReport:
     diverged_segment: int | None = None
     diverged_power: int | None = None
     rank_deficient_segments: tuple[int, ...] = ()
+
+    @property
+    def history(self) -> list[HistoryRow]:
+        return [HistoryRow(int(epoch), *terms) for epoch, *terms in self.table.tolist()]
 
 
 def regularization_vector(degree: int) -> np.ndarray:
@@ -252,17 +266,20 @@ def fit_sweep(samples: SampleSet, config: TrainConfig, lambdas) -> list[Training
     The ring holds the stack at each epoch of a block of at most _BLOCK
     epochs, and products each epoch's g.c.  One settle step ends the block:
     a single _breakdowns call over the ring's record rows gives each run
-    the bits of its own breakdown(), and a bad epoch is one whose g.c or
-    recorded total is not finite.  Each run not yet stopped takes its rows
-    recorded before its first bad epoch and stops there, with that epoch's
+    the bits of its own breakdown(), as one (record epochs, L, 4) array of
+    its Python floats, and a bad epoch is one whose g.c or recorded total is
+    not finite.  Each run not yet stopped copies its rows recorded before
+    its first bad epoch into its table and stops there, with that epoch's
     ring row.  The stop keeps the first non-finite gradient entry only when
     g.c was not finite.  After the last block the final stack is settled as
     a one-row block of one record epoch.
 
     A stopped run stays in the stack and keeps training, but settle skips
     it, so its later values are never seen.  Each report is bit-identical
-    to fit() at that lam and to a per-epoch loop.  Reports come in the
-    order of lambdas and own their models.
+    to fit() at that lam and to a per-epoch loop.  Each run's table is
+    allocated once, with its epoch column filled, for every record epoch
+    and the final one; a stopped run's is trimmed to its rows.  Reports come
+    in the order of lambdas and own their tables and models.
     """
     lambdas = list(lambdas)
     if not lambdas:
@@ -275,7 +292,7 @@ def fit_sweep(samples: SampleSet, config: TrainConfig, lambdas) -> list[Training
     # data near the float limit may overflow the operator's assembly; that is
     # reported below or by the training loop, not warned about
     with np.errstate(over="ignore", invalid="ignore"):
-        engine = LossEngine(template, samples, loss_cfg)  # rejects k > degree
+        engine = LossEngine(template, samples, loss_cfg)
         if config.degree < 2 * loss_cfg.k + 1:
             warnings.warn(
                 f"degree {config.degree} is below 2k+1={2 * loss_cfg.k + 1}; "
@@ -299,36 +316,40 @@ def fit_sweep(samples: SampleSet, config: TrainConfig, lambdas) -> list[Training
     reg = (regularization_vector(config.degree)
            if config.regularization == "degree_based" else None)
 
-    histories: list[list[HistoryRow]] = [[] for _ in lambdas]
+    every = config.record_every
+    # each run's table holds the rows of every record epoch, then the final
+    # epoch's; a run that stops keeps the rows before its stop
+    schedule = np.append(np.arange(0, config.epochs, every), config.epochs)
+    tables = [np.empty((len(schedule), 5)) for _ in lambdas]
+    for table in tables:
+        table[:, 0] = schedule
     # each stopped run's (epoch, first non-finite gradient entry or None, coefficients)
     stops: list[tuple[int, tuple[int, int] | None, np.ndarray] | None] = [None] * len(lambdas)
     # the stack at each epoch of the block, and each epoch's g.c
     ring = np.empty((max(1, min(_BLOCK, _RECORD_BYTES // stack.nbytes)),) + stack.shape)
     products = np.empty((len(ring), len(lambdas), 1, 1))
-    every = config.record_every
 
     def settle(start, stacks, unstable, first):
-        """Append each live run's rows from epoch start on, and stop it at its first bad epoch.
+        """Fill each live run's rows from epoch start on, and stop it at its first bad epoch.
 
         stacks holds one stack per epoch and unstable marks the epochs whose
         g.c is not finite.  Rows first, first + every, ... are record epochs,
         and one whose recorded total is not finite is bad too.
         """
-        epochs = list(range(start + first, start + len(stacks), every))
-        rows = engine._breakdowns(stacks[first::every].reshape(-1, *stack.shape[1:]),
-                                  lambdas * len(epochs))
+        record = stacks[first::every]
+        rows = np.array(engine._breakdowns(record.reshape(-1, *stack.shape[1:]),
+                                           lambdas * len(record)))
+        rows = rows.reshape(len(record), len(lambdas), 4)
         bad = unstable.copy()
-        recorded = bad[first::every]  # a view, one row per record epoch
-        for i, row in enumerate(rows):
-            if not math.isfinite(row[0]):
-                recorded[divmod(i, len(lambdas))] = True
+        bad[first::every] |= ~np.isfinite(rows[..., 0])
+        done = len(range(0, start, every))  # record epochs before this block
         for run in range(len(lambdas)):
             if stops[run] is not None:
                 continue
             hits = np.flatnonzero(bad[:, run])
             end = int(hits[0]) if hits.size else len(stacks)
-            histories[run] += [HistoryRow(epoch, *row) for epoch, row
-                               in zip(epochs, rows[run::len(lambdas)]) if epoch < start + end]
+            kept = len(range(first, end, every))
+            tables[run][done:done + kept, 1:] = rows[:kept, run]
             if end < len(stacks):
                 location = (_first_non_finite(form.gradients(stacks[end])[run])
                             if unstable[end, run] else None)
@@ -353,13 +374,15 @@ def fit_sweep(samples: SampleSet, config: TrainConfig, lambdas) -> list[Training
         settle(config.epochs, stack[None], np.zeros((1, len(lambdas)), dtype=bool), 0)
 
     reports = []
-    for run, history in enumerate(histories):
+    for run, table in enumerate(tables):
         epoch, location, coeffs = stops[run] or (None, None, stack[run])
         segment, power = location or (None, None)
+        if epoch is not None:
+            table = table[:len(range(0, epoch, every))].copy()
         model = template.copy()
         model.coefficients[:] = coeffs
         reports.append(TrainingReport(
-            history=history,
+            table=table,
             final_model=model,
             diverged=epoch is not None,
             diverged_epoch=epoch,

@@ -588,16 +588,24 @@ def test_config_errors_exit_1_with_one_error_line(tmp_path, capsys, monkeypatch,
     ("eval --model model.json --out run --k -1", "--k must be >= 0, got -1"),
     ("eval --model model.json --out run --resolution 1", "--resolution must be >= 2, got 1"),
     ("", "the following arguments are required: command"),
+    ("fit --input data.csv --out run --k 6 --degree 5",
+     "continuity order k=6 exceeds spline degree 5"),
+    ("repair --model model.json --out run --config bogus.conf", "boundary_mode must be one of"),
+    ("eval --model model.json --out run --config bogus.conf", "boundary_mode must be one of"),
 ])
 def test_bad_flag_exits_1_before_any_file_is_read(tmp_path, capsys, monkeypatch, argv, message):
-    # neither data.csv nor model.json exists, so a read would exit 3
+    # neither data.csv nor model.json exists, so a read would exit 3; a config
+    # file named in argv is the only file there
     monkeypatch.chdir(tmp_path)
+    configs = [name for name in argv.split() if name == "bogus.conf"]
+    for name in configs:
+        (tmp_path / name).write_text("boundary_mode = bogus\n")
     assert main(argv.split()) == 1
     captured = capsys.readouterr()
     assert captured.err.startswith("error: ") and len(captured.err.splitlines()) == 1
     assert message in captured.err
     assert "Traceback" not in captured.out + captured.err
-    assert list(tmp_path.iterdir()) == []
+    assert [path.name for path in tmp_path.iterdir()] == configs
 
 
 def test_fit_repair_flag_writes_report(tmp_path):

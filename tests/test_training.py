@@ -9,6 +9,7 @@ from numpy.testing import assert_allclose
 
 from ckspline import (
     DomainMap,
+    HistoryRow,
     LossConfig,
     LossEngine,
     OptimizerConfig,
@@ -309,6 +310,8 @@ def test_train_config_validation():
 
 @pytest.mark.parametrize("call, message", [
     pytest.param(lambda: TrainConfig(degree=-1), "degree must be >= 0", id="negative-degree"),
+    pytest.param(lambda: TrainConfig(degree=1, loss=LossConfig(k=2)),
+                 "continuity order k=2 exceeds spline degree 1", id="k-above-degree"),
     pytest.param(lambda: TrainConfig(init="ones"), "init must be one of", id="unknown-init"),
     pytest.param(lambda: TrainConfig(scaling="log"), "scaling must be one of",
                  id="unknown-scaling"),
@@ -600,6 +603,62 @@ def test_fit_sweep_buffers_do_not_grow_with_record_every():
         finally:
             tracemalloc.stop()
     assert peaks[10**6] <= peaks[10] + 16 * 1024
+
+
+def assert_table_matches_history(report):
+    table, history = report.table, report.history
+    assert table.dtype == np.float64 and table.shape == (len(history), 5)
+    assert table.base is None  # a stopped run's rows are trimmed to their own array
+    assert table.tobytes() == np.array(history, dtype=float).reshape(-1, 5).tobytes()
+    assert all(type(row) is HistoryRow and type(row.epoch) is int for row in history)
+    assert np.array_equal(table[:, 0], np.trunc(table[:, 0]))
+
+
+def test_fit_sweep_table_matches_its_history():
+    xs = np.linspace(0, 16, 128)
+    samples = SampleSet(xs, np.sin(2 * np.pi * xs / 16) + 0.5 * np.sin(4 * np.pi * xs / 16))
+    config = TrainConfig(segments=8, degree=5, epochs=203, loss=LossConfig(k=2),
+                         optimizer=OptimizerConfig("amsgrad", 0.1), record_every=7)
+    swept = fit_sweep(samples, config, [1.0, 0.5, 0.0])
+    epochs = list(range(0, 203, 7)) + [203]
+    for report in swept:
+        assert_table_matches_history(report)
+        assert [row.epoch for row in report.history] == epochs
+    # runs that stop partway through a block, and one stopped at epoch 0
+    for report in assert_block_divergences(101, 4):
+        assert_table_matches_history(report)
+    xs = np.linspace(0, 16, 64)
+    stopped = fit_sweep(SampleSet(xs, np.full(xs.size, 1e308)),
+                        replace(config, optimizer=OptimizerConfig("sgd", 10.0)), [1.0, 0.5])
+    for report in stopped:
+        assert report.diverged_epoch == 0 and report.table.shape == (0, 5)
+        assert_table_matches_history(report)
+    # epochs = 0 records the start only
+    for report in fit_sweep(samples, replace(config, epochs=0), [1.0, 0.0]):
+        assert_table_matches_history(report)
+        assert report.table[:, 0].tolist() == [0.0]
+
+
+def test_fit_sweep_reports_hold_at_most_64_bytes_per_recorded_row():
+    # the paper's sweep problem, recording as many rows as its 10,000 epochs
+    # do; HistoryRows of Python floats held about 200 bytes each
+    xs = np.linspace(0, 16, 128)
+    samples = SampleSet(xs, np.sin(2 * np.pi * xs / 16) + 0.5 * np.sin(4 * np.pi * xs / 16))
+    config = TrainConfig(segments=8, degree=5, epochs=2000, loss=LossConfig(k=2),
+                         optimizer=OptimizerConfig("amsgrad", 0.1), record_every=2)
+    lambdas = [1.0, 0.75, 0.5, 0.25, 0.0]
+    fit_sweep(samples, config, lambdas)  # warm caches outside the trace
+    tracemalloc.start()
+    try:
+        reports = fit_sweep(samples, config, lambdas)
+        held = tracemalloc.get_traced_memory()[0]
+        rows = sum(len(report.history) for report in reports)
+        del reports
+        held -= tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert rows == 5 * 1001
+    assert held <= 64 * rows
 
 
 def test_fit_sweep_validates_once_before_training():
