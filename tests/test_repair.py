@@ -94,34 +94,37 @@ def uniform_model(k, rng):
                                         rng.normal(size=(4, 2 * k + 2)))
 
 
-def forbid_cond(monkeypatch):
-    def cond(*args, **kwargs):
-        raise AssertionError("np.linalg.cond was called")
-    monkeypatch.setattr(np.linalg, "cond", cond)
+@pytest.fixture
+def cond_calls(monkeypatch):
+    """The stacks np.linalg.cond is called with, which it still decides."""
+    calls = []
+    cond = np.linalg.cond
+    monkeypatch.setattr(np.linalg, "cond", lambda a: calls.append(a) or cond(a))
+    return calls
 
 
 @pytest.mark.parametrize("k", range(8))
-def test_conditioning_screen_certifies_uniform_breakpoints_without_an_svd(monkeypatch, k):
+def test_conditioning_screen_certifies_uniform_breakpoints_without_an_svd(monkeypatch, cond_calls,
+                                                                          k):
     # kappa_F of the unit-length system is about 1.36 kappa_2: 6.9e9 at k = 7,
     # below the screen's 1e10; the screen leaves the corrector solve as it was
     model = uniform_model(k, np.random.default_rng(k))
+    repaired, _ = repair_continuity(model, k, "periodic")
+    assert cond_calls == []
     monkeypatch.setattr(repair, "_SCREEN", 0.0)  # every system goes to np.linalg.cond
     expected, _ = repair_continuity(model, k, "periodic")
-    monkeypatch.undo()
-    forbid_cond(monkeypatch)
-    repaired, _ = repair_continuity(model, k, "periodic")
+    assert len(cond_calls) == 1
     assert repaired.coefficients.tobytes() == expected.coefficients.tobytes()
 
 
 @pytest.mark.parametrize("factor, raises", [(1 - 1e-9, True), (1 + 1e-9, False)])
-def test_conditioning_decision_follows_the_svd_near_the_limit(monkeypatch, factor, raises):
+def test_conditioning_decision_follows_the_svd_near_the_limit(monkeypatch, cond_calls, factor,
+                                                              raises):
     k = 3
     system = _derivative_basis(np.array([-0.5, 0.5]), 2 * k + 1, k).reshape(2 * k + 2, -1)
     limit = np.linalg.cond(system)
     assert 1.43e3 < limit < 1.45e3
-    calls = []
-    cond = np.linalg.cond
-    monkeypatch.setattr(np.linalg, "cond", lambda a: calls.append(a) or cond(a))
+    cond_calls.clear()
     monkeypatch.setattr(repair, "_MAX_CONDITION", factor * limit)
     model = uniform_model(k, np.random.default_rng(3))
     if raises:
@@ -130,18 +133,15 @@ def test_conditioning_decision_follows_the_svd_near_the_limit(monkeypatch, facto
     else:
         repair_continuity(model, k)
     # the screen cannot certify a system this close to the limit
-    assert len(calls) == 1
+    assert len(cond_calls) == 1
 
 
-def test_exactly_singular_hermite_system_goes_to_the_svd(monkeypatch):
+def test_exactly_singular_hermite_system_goes_to_the_svd(monkeypatch, cond_calls):
     # the screen's LU solve raises LinAlgError; np.linalg.cond reads inf
-    calls = []
-    cond = np.linalg.cond
-    monkeypatch.setattr(np.linalg, "cond", lambda a: calls.append(a) or cond(a))
     monkeypatch.setattr(repair, "_derivative_basis", lambda u, degree, k: np.zeros(16))
     with pytest.raises(ConditioningError):
         two_point_hermite(0.0, [1.0, 0.0], 1.0, [0.0, 0.0], 0.5)
-    assert len(calls) == 1
+    assert len(cond_calls) == 1
 
 
 def test_batched_hermite_equals_one_call_per_side_bit_for_bit():
