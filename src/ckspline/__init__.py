@@ -4,89 +4,69 @@ Splines in center-shifted monomial form are trained against a blended loss
 (approximation error plus derivative-jump penalty, optionally strain energy)
 and any residual jumps are removed exactly afterwards by local Hermite
 correctors.  See the README for the CLI.
+
+The public names are exported lazily (PEP 562): _EXPORTS maps each one to
+the module that defines it, and that module is imported on first use.  So
+`import ckspline` alone imports no numpy, and the `ckspline` command's
+module, cli, runs its thread-count guard before numpy loads.
 """
 
-from .cli import load_model, load_samples, save_model
-from .losses import (
-    LossBreakdown,
-    LossConfig,
-    LossEngine,
-    ck_loss,
-    fd_gradient,
-    gradient,
-    l2_loss,
-    strain_loss,
-    total_loss,
-)
-from .model import (
-    DomainError,
-    DomainMap,
-    SampleSet,
-    SplineModel,
-    eval_segment,
-    evaluate,
-    rebase,
-    segment_index,
-)
-from .optimizers import (
-    NonFiniteGradientError,
-    OptimizerConfig,
-    OptimizerState,
-    init_state,
-    step,
-)
-from .repair import ConditioningError, RepairReport, repair_continuity, two_point_hermite
-from .training import (
-    HistoryRow,
-    TrainConfig,
-    TrainingReport,
-    apply_regularization,
-    fit,
-    fit_sweep,
-    least_squares_init,
-    make_scaled_problem,
-    regularization_vector,
-)
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ConditioningError",
-    "DomainError",
-    "DomainMap",
-    "HistoryRow",
-    "LossBreakdown",
-    "LossConfig",
-    "LossEngine",
-    "NonFiniteGradientError",
-    "OptimizerConfig",
-    "OptimizerState",
-    "RepairReport",
-    "SampleSet",
-    "SplineModel",
-    "TrainConfig",
-    "TrainingReport",
-    "apply_regularization",
-    "ck_loss",
-    "eval_segment",
-    "evaluate",
-    "fd_gradient",
-    "fit",
-    "fit_sweep",
-    "gradient",
-    "init_state",
-    "l2_loss",
-    "least_squares_init",
-    "load_model",
-    "load_samples",
-    "make_scaled_problem",
-    "rebase",
-    "regularization_vector",
-    "repair_continuity",
-    "save_model",
-    "segment_index",
-    "step",
-    "strain_loss",
-    "total_loss",
-    "two_point_hermite",
-]
+_EXPORTS = {
+    "ConditioningError": "repair",
+    "DomainError": "model",
+    "DomainMap": "model",
+    "HistoryRow": "training",
+    "LossBreakdown": "losses",
+    "LossConfig": "losses",
+    "LossEngine": "losses",
+    "NonFiniteGradientError": "optimizers",
+    "OptimizerConfig": "optimizers",
+    "OptimizerState": "optimizers",
+    "RepairReport": "repair",
+    "SampleSet": "model",
+    "SplineModel": "model",
+    "TrainConfig": "training",
+    "TrainingReport": "training",
+    "apply_regularization": "training",
+    "ck_loss": "losses",
+    "eval_segment": "model",
+    "evaluate": "model",
+    "fd_gradient": "losses",
+    "fit": "training",
+    "fit_sweep": "training",
+    "gradient": "losses",
+    "init_state": "optimizers",
+    "l2_loss": "losses",
+    "least_squares_init": "training",
+    "load_model": "cli",
+    "load_samples": "cli",
+    "make_scaled_problem": "training",
+    "rebase": "model",
+    "regularization_vector": "training",
+    "repair_continuity": "repair",
+    "save_model": "cli",
+    "segment_index": "model",
+    "step": "optimizers",
+    "strain_loss": "losses",
+    "total_loss": "losses",
+    "two_point_hermite": "repair",
+}
+
+__all__ = list(_EXPORTS)
+
+
+def __getattr__(name):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_EXPORTS))

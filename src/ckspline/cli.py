@@ -15,6 +15,15 @@ Every command checks its flags before it reads a file.  Exit codes: 0
 success, 1 configuration error (including a malformed or unknown flag, a
 malformed model file or an ill-conditioned repair), 2 divergence, 3 I/O
 error.
+
+Importing this module before numpy, as the `ckspline` command does, sets
+OPENBLAS_NUM_THREADS=1 unless OPENBLAS_NUM_THREADS, GOTO_NUM_THREADS or
+OMP_NUM_THREADS is already set.  numpy's OpenBLAS otherwise starts a worker
+per extra core that busy-waits beside the command, and splits the dot
+products over more than 10,000 samples, which gain no wall time and sum in
+an order that depends on the thread count.  A process that has imported
+numpy already keeps its own setting; the package exports its names lazily
+so that the command reaches this guard first.
 """
 
 from __future__ import annotations
@@ -23,10 +32,17 @@ import argparse
 import csv
 import json
 import math
+import os
 import sys
 import typing
 from dataclasses import dataclass, replace
 from pathlib import Path
+
+# before numpy loads: one BLAS thread unless the environment names a count
+if "numpy" not in sys.modules and not any(
+        name in os.environ for name in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS",
+                                        "OMP_NUM_THREADS")):
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
 import numpy as np
 

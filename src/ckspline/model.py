@@ -65,7 +65,7 @@ class DomainMap:
         return (t - self.b) / self.a
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SampleSet:
     """Sorted sample abscissae with target values."""
 
@@ -90,7 +90,7 @@ class SampleSet:
         return self.xs.size
 
 
-@dataclass
+@dataclass(eq=False)
 class SplineModel:
     """Trainable piecewise polynomial.
 

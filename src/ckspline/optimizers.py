@@ -60,7 +60,7 @@ class OptimizerConfig:
             raise ValueError("epsilon must be > 0")
 
 
-@dataclass
+@dataclass(eq=False)
 class OptimizerState:
     """Per-coefficient slot arrays; only the slots the kind needs are allocated."""
 

@@ -43,7 +43,7 @@ class ConditioningError(ArithmeticError):
     """The Hermite system is numerically singular for the requested order."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RepairReport:
     """Per-boundary derivative jumps before and after repair.
 

@@ -88,7 +88,7 @@ class HistoryRow(NamedTuple):
     strain: float
 
 
-@dataclass
+@dataclass(eq=False)
 class TrainingReport:
     """One run's recorded rows, final model and divergence.
 

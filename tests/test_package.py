@@ -1,0 +1,106 @@
+"""Package behaviour: lazy exports, the CLI's BLAS thread guard, identity equality."""
+
+import importlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import ckspline
+from ckspline import (
+    OptimizerConfig,
+    RepairReport,
+    SampleSet,
+    SplineModel,
+    TrainingReport,
+    init_state,
+)
+
+THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+SRC = str(Path(ckspline.__file__).resolve().parents[1])
+# prints the thread variables, whether numpy is loaded and the thread count
+REPORT = ("import json, os, sys; print(json.dumps({"
+          "'env': {name: os.environ.get(name) for name in %r}, "
+          "'numpy': 'numpy' in sys.modules, "
+          "'tasks': len(os.listdir('/proc/self/task')) "
+          "if os.path.isdir('/proc/self/task') else None}))" % (THREAD_VARIABLES,))
+
+
+def fresh(code: str, **preset: str) -> dict:
+    """Run code, then REPORT, in a new interpreter; of THREAD_VARIABLES only `preset` is set."""
+    env = {name: value for name, value in os.environ.items() if name not in THREAD_VARIABLES}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    env.update(preset)
+    done = subprocess.run([sys.executable, "-c", f"{code}\n{REPORT}"], env=env,
+                          capture_output=True, text=True, timeout=60, check=True)
+    return json.loads(done.stdout)
+
+
+def thread_env(**given):
+    return {name: given.get(name) for name in THREAD_VARIABLES}
+
+
+def test_cli_import_runs_one_blas_thread():
+    if not os.path.isdir("/proc/self/task"):
+        pytest.skip("no /proc/self/task to count threads in")
+    report = fresh("import ckspline.cli")
+    assert report["numpy"] and report["tasks"] == 1
+    assert report["env"] == thread_env(OPENBLAS_NUM_THREADS="1")
+
+
+@pytest.mark.parametrize("name", THREAD_VARIABLES)
+def test_cli_import_keeps_a_preset_thread_variable(name):
+    report = fresh("import ckspline.cli", **{name: "2"})
+    assert report["env"] == thread_env(**{name: "2"})
+
+
+@pytest.mark.parametrize("code", [
+    "from ckspline import fit_sweep",
+    "import numpy\nimport ckspline.cli",
+])
+def test_library_import_sets_no_thread_variable(code):
+    report = fresh(code)
+    assert report["numpy"] and report["env"] == thread_env()
+
+
+def test_package_import_loads_no_numpy():
+    report = fresh("import ckspline")
+    assert not report["numpy"] and report["env"] == thread_env()
+
+
+def test_every_export_is_its_defining_modules_object():
+    for name, module in ckspline._EXPORTS.items():
+        value = getattr(ckspline, name)
+        assert value is getattr(importlib.import_module(f"ckspline.{module}"), name)
+        assert value.__module__ == f"ckspline.{module}"
+    assert ckspline.__all__ == list(ckspline._EXPORTS)
+    assert set(ckspline.__all__) <= set(dir(ckspline))
+
+
+def test_unknown_export_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no attribute 'fit_swep'"):
+        ckspline.fit_swep
+    with pytest.raises(ImportError):
+        from ckspline import fit_swep  # noqa: F401
+
+
+def _model():
+    return SplineModel(np.array([0.0, 1.0, 2.0]), 1, np.zeros((2, 2)), np.array([0.5, 1.5]))
+
+
+@pytest.mark.parametrize("build", [
+    lambda: SampleSet(np.linspace(0.0, 1.0, 4), np.zeros(4)),
+    _model,
+    lambda: TrainingReport(np.zeros((2, 5)), _model()),
+    lambda: RepairReport((1.0,), np.zeros((1, 2)), np.zeros((1, 2)), np.zeros((1, 2)), 0.0),
+    lambda: init_state(OptimizerConfig(), (2, 2)),
+], ids=["SampleSet", "SplineModel", "TrainingReport", "RepairReport", "OptimizerState"])
+def test_array_holding_data_classes_compare_by_identity(build):
+    first, second = build(), build()
+    assert (first == first) is True and (first != first) is False
+    assert (first == second) is False and (first != second) is True
+    assert hash(first) == hash(first) and len({first, second}) == 2
