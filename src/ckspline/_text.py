@@ -22,10 +22,13 @@ from __future__ import annotations
 import numpy as np
 
 _NUMBER = "%.17g"  # every number in every result file: 17 digits round-trip a double
-_CHUNK = 4096  # values per kernel pass at most
+# Values per kernel pass at most.  A pass holds about 0.5 KB of scratch per
+# value, 1 MB at this size: 4,096-value passes wrote curve.csv about 2%
+# faster but raised the peak RSS of repair and eval by about 1 MB.
+_CHUNK = 2048
 # Fewer values go to the stdlib's %-format in one piece: below about 400
 # values the kernel's fixed cost of about 0.2 ms outweighs what it saves.
-_SMALL = _CHUNK // 8
+_SMALL = 512
 
 # Byte offsets in a value's record: a '-', a '0', a '.', the 17 digits,
 # "e-" and the exponent's two digits, then the literal after the field.
@@ -215,8 +218,8 @@ def _block_rows(blocks, size: int, row: str, sep: str):
     parts = row.split(_NUMBER)
     # the literal after the last field runs into the next row
     literals = parts[1:-1] + [parts[-1] + sep + parts[0]]
-    # a pass holds about 0.5 KB of scratch per value: eight passes keep a
-    # sweep's history from raising its peak RSS
+    # at least eight passes, unless below _SMALL values each: a sweep's
+    # history then raises no peak RSS with its scratch
     step = min(max(size // 8, _SMALL), _CHUNK)
     step = max(1, step // len(literals)) * len(literals)
     kernel = _Kernel(min(step, size), literals)
@@ -228,3 +231,4 @@ def _block_rows(blocks, size: int, row: str, sep: str):
             text = kernel.text(values[start:start + step])
             done += min(step, values.size - start)
             yield text if done < size else text[:len(text) - len(sep + parts[0])]
+        del block, values  # so that only one block is alive while blocks builds the next

@@ -5,25 +5,26 @@ Input is two-column x,y CSV; configuration comes from a flat key=value file
 directory as model.json, history.csv, curve.csv, and repair.json (plus
 summary.csv for a sweep).  One writer, _text._rows, writes every number of
 every file as exactly the bytes of "%.17g" % value: a table of 512 values or
-more through a numpy kernel, a chunk of values at a time, and a smaller one
+more through a numpy kernel, up to 2,048 values at a time, and a smaller one
 through the %-format itself.  So reloading is lossless (load_model reads the
 "-0" of a negative zero back as -0.0) and reruns of the same manifest are
 byte-identical.  load_model accepts only JSON numbers that fit a double in
-the numeric fields.
+the numeric fields.  It walks the file's text with json's own scanner and
+decodes the numeric arrays a block of about 2,048 numbers at a time into
+float64, so that its peak memory stays near twice the file's size.
 
 Every command checks its flags before it reads a file.  Exit codes: 0
 success, 1 configuration error (including a malformed or unknown flag, a
 malformed model file or an ill-conditioned repair), 2 divergence, 3 I/O
-error.
+error.  `python -m ckspline.cli` runs as the `ckspline` command.
 
 Importing this module before numpy, as the `ckspline` command does, sets
 OPENBLAS_NUM_THREADS=1 unless OPENBLAS_NUM_THREADS, GOTO_NUM_THREADS or
 OMP_NUM_THREADS is already set.  numpy's OpenBLAS otherwise starts a worker
 per extra core that busy-waits beside the command, and splits the dot
-products over more than 10,000 samples, which gain no wall time and sum in
-an order that depends on the thread count.  A process that has imported
-numpy already keeps its own setting; the package exports its names lazily
-so that the command reaches this guard first.
+products over more than 10,000 samples, which gains no wall time.  A
+process that has imported numpy already keeps its own setting; the package
+exports its names lazily so that the command reaches this guard first.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ import csv
 import json
 import math
 import os
+import re
 import sys
 import typing
 from dataclasses import dataclass, replace
@@ -192,7 +194,12 @@ def save_model(model: SplineModel, path):
 
 
 def _json_numbers(path: Path, field: str, values) -> np.ndarray:
-    """values, nested lists from json.loads, as a float array of JSON numbers only."""
+    """values, a float array from _numbers or a decoded JSON value, as a float array.
+
+    A decoded value must be JSON numbers only, in nested lists.
+    """
+    if isinstance(values, np.ndarray):
+        return values
     entries = np.array(values, dtype=object)
     # bool is an int subclass; a string would parse as a float
     if not all(type(entry) in (int, float, _NegativeZero) for entry in entries.ravel()):
@@ -212,12 +219,99 @@ def _json_int(text: str):
     return _NegativeZero(-0.0) if text == "-0" else int(text)
 
 
+# json's own (C) scanner decodes every value of a model file
+_DECODER = json.JSONDecoder(parse_int=_json_int)
+_WHITESPACE = json.decoder.WHITESPACE.match
+_ARRAYS = ("breakpoints", "centers", "coefficients")
+# A block of an array is a run of up to _BLOCK_ELEMENTS numbers or flat
+# rows of numbers in at most _BLOCK_CHARS characters: about 2,048 numbers of
+# "%.17g" text, whose Python floats take about 64 KB while np.array packs them
+_BLOCK_ELEMENTS, _BLOCK_CHARS = 2048, 2048 * 24
+_ELEMENT = r"[ \t\n\r]*(?:\[[-+.0-9eE \t\n\r,]*\]|[-+.0-9eE]+)[ \t\n\r]*"
+_BLOCK = re.compile(rf"(?:{_ELEMENT},){{0,{_BLOCK_ELEMENTS - 1}}}{_ELEMENT}(?=[,\]])")
+
+
+def _numbers(text: str, pos: int):
+    """The JSON value at text[pos] and its end; an array of numbers as one float array.
+
+    An array of numbers, or of equal rows of numbers, is decoded a block of
+    elements at a time.  _BLOCK limits a block to number characters,
+    whitespace, commas and brackets, so the scanner can return only numbers
+    and lists of them, and np.array packs them into float64 with no check
+    per number.  Any other value, and an array with an element _BLOCK does
+    not match or a block the scanner or np.array rejects (a syntax error, a
+    ragged row, an integer too large for a double), is decoded whole from
+    the file text instead, so that _json_numbers checks it and a syntax
+    error points into the file.
+    """
+    start, blocks = pos, []
+    if text.startswith("[", pos):
+        pos += 1
+        while match := _BLOCK.match(text, pos, pos + _BLOCK_CHARS):
+            try:
+                blocks.append(np.array(_DECODER.raw_decode(f"[{match.group()}]")[0], dtype=float))
+            except (ValueError, OverflowError):  # JSONDecodeError is a ValueError
+                break
+            pos = match.end() + 1
+            if text[match.end()] == "]":
+                try:
+                    return np.concatenate(blocks), pos
+                except ValueError:  # blocks of different row lengths
+                    break
+    return _DECODER.raw_decode(text, start)
+
+
+def _model_fields(text: str):
+    """The top-level value of a model file's text, as json.loads gives it.
+
+    An object's values of _ARRAYS keys come from _numbers; every other
+    value, and a top level that is not an object, from the scanner.  A
+    syntax error raises json.JSONDecodeError.
+    """
+    if text.startswith("\ufeff"):
+        raise json.JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)", text, 0)
+    pos = _WHITESPACE(text).end()
+    if not text.startswith("{", pos):
+        value, pos = _DECODER.raw_decode(text, pos)
+    else:
+        value, pos = {}, _WHITESPACE(text, pos + 1).end()
+        more = not text.startswith("}", pos)
+        while more:
+            if not text.startswith('"', pos):
+                raise json.JSONDecodeError("Expecting property name enclosed in double quotes",
+                                           text, pos)
+            key, pos = json.decoder.scanstring(text, pos + 1)
+            pos = _WHITESPACE(text, pos).end()
+            if not text.startswith(":", pos):
+                raise json.JSONDecodeError("Expecting ':' delimiter", text, pos)
+            decode = _numbers if key in _ARRAYS else _DECODER.raw_decode
+            value[key], pos = decode(text, _WHITESPACE(text, pos + 1).end())
+            pos = _WHITESPACE(text, pos).end()
+            more = text.startswith(",", pos)
+            if more:
+                pos = _WHITESPACE(text, pos + 1).end()
+            elif not text.startswith("}", pos):
+                raise json.JSONDecodeError("Expecting ',' delimiter", text, pos)
+        pos += 1
+    pos = _WHITESPACE(text, pos).end()
+    if pos != len(text):
+        raise json.JSONDecodeError("Extra data", text, pos)
+    return value
+
+
 def load_model(path) -> SplineModel:
+    """The model that save_model wrote to path.
+
+    The file's text is decoded in one walk, with its numeric arrays a block
+    of rows at a time (_numbers), so no Python float outlives its block.
+    """
     path = Path(path)
     try:
-        obj = json.loads(path.read_text(), parse_int=_json_int)
+        obj = _model_fields(path.read_text())
     except RecursionError:
         raise ValueError(f"{path}: model file is nested too deeply to parse") from None
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{path}: malformed model file: {exc}") from None
     try:
         degree = obj["degree"]
         if type(degree) is _NegativeZero:
@@ -535,3 +629,7 @@ def main(argv=None) -> int:
 
 def console_entry():  # pragma: no cover - thin wrapper
     raise SystemExit(main())
+
+
+if __name__ == "__main__":  # python -m ckspline.cli
+    console_entry()

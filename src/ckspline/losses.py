@@ -24,6 +24,8 @@ forms of a whole lambda sweep are assembled in one pass and stacked as an
 Loss values come from the residual form instead (l2 from the sample
 residuals, ck from the jumps at every boundary in one batch, strain from its
 per-segment tables): the expanded form above loses digits when l2 is tiny.
+Sums of squares over the samples add dot products of at most 8,192 entries
+in order, so a value has the same bits on any number of BLAS threads.
 The training loop therefore takes the residual-form breakdown only at
 record epochs, over all of a block's record epochs and every run of a
 sweep at once (training.py states how that decides divergence).
@@ -138,16 +140,36 @@ def _count_groups(seg, m):
             yield count, group, order[starts[group, None] + np.arange(count)]
 
 
+# OpenBLAS splits a dot product of more than 10,000 entries across its
+# threads and adds the parts in an order that depends on the thread count.
+# Dots over chunks of at most this many entries, added in order, give the
+# same bits on any number of threads; up to one chunk it is one dot.
+_DOT_CHUNK = 8192
+
+
+def _sums_of_squares(rows: np.ndarray) -> np.ndarray:
+    """(L,) sum of squares of each row of a C-contiguous (L, n) array.
+
+    Each row is squared by its own dot products, so a row's sum is the same
+    bits whatever it is stacked with, and on any number of BLAS threads.
+    """
+    total = None
+    for start in range(0, rows.shape[1], _DOT_CHUNK):
+        part = rows[:, start:start + _DOT_CHUNK]
+        part = (part[:, None, :] @ part[:, :, None])[:, 0, 0]
+        total = part if total is None else total + part
+    return total
+
+
 def _l2_values(coeffs, seg, powers, ys):
     """(L,) l2 of an (L, m, d+1) coefficient stack.
 
     A reduction sums in an order that follows its operands' memory layout.
     take() keeps the gathered rows, and so the residuals, C-contiguous, and
-    each run's residuals are squared by their own dot product: a run's
-    value is the same bits whatever it is stacked with.
+    _sums_of_squares squares them.
     """
     r = np.einsum("nt,rnt->rn", powers, coeffs.take(seg, axis=1)) - ys
-    return coeffs.shape[1] / ys.size * (r[:, None, :] @ r[:, :, None])[:, 0, 0]
+    return coeffs.shape[1] / ys.size * _sums_of_squares(r)
 
 
 def _ck_values(coeffs, bases):
@@ -253,7 +275,8 @@ class LossEngine:
 
     @property
     def constant(self) -> float:
-        return self.config.lam * self.model.num_segments / self.ys.size * float(self.ys @ self.ys)
+        return (self.config.lam * self.model.num_segments / self.ys.size
+                * float(_sums_of_squares(self.ys[None])[0]))
 
     def _forms(self, lams) -> _Forms:
         """The stacked forms of this engine's problem at each blend weight in lams.

@@ -30,13 +30,19 @@ REPORT = ("import json, os, sys; print(json.dumps({"
           "if os.path.isdir('/proc/self/task') else None}))" % (THREAD_VARIABLES,))
 
 
-def fresh(code: str, **preset: str) -> dict:
-    """Run code, then REPORT, in a new interpreter; of THREAD_VARIABLES only `preset` is set."""
+def child(args, **preset: str) -> subprocess.CompletedProcess:
+    """Run the interpreter with args; of THREAD_VARIABLES only `preset` is set."""
     env = {name: value for name, value in os.environ.items() if name not in THREAD_VARIABLES}
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
     env.update(preset)
-    done = subprocess.run([sys.executable, "-c", f"{code}\n{REPORT}"], env=env,
-                          capture_output=True, text=True, timeout=60, check=True)
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True,
+                          timeout=60)
+
+
+def fresh(code: str, **preset: str) -> dict:
+    """Run code, then REPORT, in a new interpreter; of THREAD_VARIABLES only `preset` is set."""
+    done = child(["-c", f"{code}\n{REPORT}"], **preset)
+    done.check_returncode()
     return json.loads(done.stdout)
 
 
@@ -70,6 +76,34 @@ def test_library_import_sets_no_thread_variable(code):
 def test_package_import_loads_no_numpy():
     report = fresh("import ckspline")
     assert not report["numpy"] and report["env"] == thread_env()
+
+
+def test_module_runs_as_the_command():
+    done = child(["-m", "ckspline.cli", "--help"])
+    assert done.returncode == 0 and done.stdout.startswith("usage: ckspline")
+    done = child(["-m", "ckspline.cli", "fit", "--bogus", "1"])
+    assert done.returncode == 1 and done.stdout == ""
+    assert done.stderr == "error: unrecognized arguments: --bogus 1\n"
+
+
+# the loss values of 65,536 samples, whose dot products OpenBLAS would
+# split across two threads
+BREAKDOWN = """
+import numpy as np
+from ckspline import LossConfig, LossEngine, SampleSet, SplineModel
+rng = np.random.default_rng(11)
+x = np.linspace(0.0, 64.0, 65_536)
+model = SplineModel.from_breakpoints(np.linspace(0.0, 64.0, 33), 3, rng.normal(size=(32, 4)))
+engine = LossEngine(model, SampleSet(x, np.sin(x) + rng.normal(size=x.size)), LossConfig(0.5, 1))
+parts = engine.breakdown()
+print([value.hex() for value in (parts.total, parts.l2, parts.ck, engine.constant)])
+"""
+
+
+def test_loss_values_do_not_depend_on_the_blas_thread_count():
+    runs = [child(["-c", BREAKDOWN], OPENBLAS_NUM_THREADS=count) for count in ("1", "2")]
+    assert [run.returncode for run in runs] == [0, 0]
+    assert runs[0].stdout == runs[1].stdout
 
 
 def test_every_export_is_its_defining_modules_object():
