@@ -16,7 +16,7 @@ import importlib
 __version__ = "0.1.0"
 
 _EXPORTS = {
-    "ConditioningError": "repair",
+    "ConditioningError": "model",
     "DomainError": "model",
     "DomainMap": "model",
     "HistoryRow": "training",

@@ -13,10 +13,13 @@ the numeric fields.  It walks the file's text with json's own scanner and
 decodes the numeric arrays a block of about 2,048 numbers at a time into
 float64, so that its peak memory stays near twice the file's size.
 
-Every command checks its flags before it reads a file.  Exit codes: 0
-success, 1 configuration error (including a malformed or unknown flag, a
-malformed model file or an ill-conditioned repair), 2 divergence, 3 I/O
-error.  `python -m ckspline.cli` runs as the `ckspline` command.
+Every command checks its flags before it reads a file, including that no
+flag asks for an array above _MAX_BYTES (1 GiB).  Each command loads only
+the modules it calls: fit and sweep the training modules (losses,
+optimizers, training) and repair, repair only repair, eval neither.  Exit
+codes: 0 success, 1 configuration error (including a malformed or unknown
+flag, a malformed model file or an ill-conditioned repair), 2 divergence, 3
+I/O error.  `python -m ckspline.cli` runs as the `ckspline` command.
 
 Importing this module before numpy, as the `ckspline` command does, sets
 OPENBLAS_NUM_THREADS=1 unless OPENBLAS_NUM_THREADS, GOTO_NUM_THREADS or
@@ -31,6 +34,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import importlib
 import json
 import math
 import os
@@ -49,11 +53,9 @@ if "numpy" not in sys.modules and not any(
 import numpy as np
 
 from ._text import _NUMBER, _block_rows, _rows
-from .losses import BOUNDARY_MODES, LossConfig
-from .model import DomainMap, SampleSet, SplineModel, _check_boundary_mode, _derivatives, evaluate
-from .optimizers import OPTIMIZER_KINDS, OptimizerConfig
-from .repair import ConditioningError, repair_continuity
-from .training import INITS, REGULARIZATIONS, SCALINGS, TrainConfig, fit, fit_sweep
+from .model import (BOUNDARY_MODES, INITS, OPTIMIZER_KINDS, REGULARIZATIONS, SCALINGS,
+                    ConditioningError, DomainMap, SampleSet, SplineModel, _check_boundary_mode,
+                    _derivatives, evaluate)
 
 __all__ = [
     "RunManifest",
@@ -66,11 +68,44 @@ __all__ = [
     "console_entry",
 ]
 
+# The names the commands call from the training modules and repair, each
+# with its module.  They are module globals bound on first use, so that
+# repair loads only repair and eval neither: fit and sweep bind them all
+# before main builds the parser, repair binds repair_continuity, and any
+# other reader, such as a tracer that wraps cli.fit, loads a name through
+# __getattr__.  _bind keeps a name already bound, a tracer's wrapper too.
+_LAZY = {
+    "LossConfig": "losses",
+    "OptimizerConfig": "optimizers",
+    "TrainConfig": "training",
+    "fit": "training",
+    "fit_sweep": "training",
+    "repair_continuity": "repair",
+}
 _KEY_ALIASES = {"lambda": "lam"}
 # curve.csv rows per block, when a segment's rows fit: a block's grid,
 # values and table take well under 1 MB, and its text goes to the file
 # before the next block is built; smaller blocks cost time per block
 _CURVE_ROWS = 8192
+# the largest array a flag may ask for: the curve block of --resolution, the
+# loss operator of --degree and --segments, the history of --epochs and the
+# basis powers of the samples at --degree
+_MAX_BYTES = 1 << 30
+
+
+def __getattr__(name):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_LAZY[name]}", __package__), name)
+    globals()[name] = value
+    return value
+
+
+def _bind(*names):
+    """Bind each of names from _LAZY as a module global, unless it is bound."""
+    for name in names:
+        if name not in globals():
+            __getattr__(name)
 
 
 @dataclass
@@ -102,6 +137,8 @@ class RunManifest:
     repair: bool = False
 
     def to_train_config(self) -> TrainConfig:
+        """The training.TrainConfig of these settings; loads what run and sweep call."""
+        _bind(*_LAZY)
         return TrainConfig(
             segments=self.segments,
             degree=self.degree,
@@ -382,7 +419,10 @@ def run(manifest: RunManifest) -> int:
     """Fit per the manifest and write all result files; see module exit codes."""
     _check_manifest(manifest, "fit", "input")
     config = manifest.to_train_config()
-    return _write_fit(manifest, fit(load_samples(manifest.input), config))[0]
+    _check_fit_sizes(manifest, 1)
+    samples = load_samples(manifest.input)
+    _check_samples(manifest, len(samples))
+    return _write_fit(manifest, fit(samples, config))[0]
 
 
 def _check_manifest(manifest: RunManifest, command: str, source: str):
@@ -394,6 +434,39 @@ def _check_manifest(manifest: RunManifest, command: str, source: str):
     if manifest.k < 0:
         raise ValueError(f"--k must be >= 0, got {manifest.k}")
     _check_boundary_mode(manifest.boundary_mode)
+    # a curve block's table: at most max(_CURVE_ROWS, resolution - 1) + 1
+    # rows (_write_curve) of k + 2 columns
+    rows = max(_CURVE_ROWS, manifest.resolution - 1) + 1
+    _check_bytes(f"--resolution {manifest.resolution} and --k {manifest.k}",
+                 rows * (manifest.k + 2), "curve block")
+
+
+def _check_fit_sizes(manifest: RunManifest, runs: int):
+    """A fit's largest tables against _MAX_BYTES, before any is allocated.
+
+    The loss operator holds a (d+1, 3(d+1)) block row per segment and run
+    (losses._Forms), and the history a row of 5 per record epoch and run.
+    """
+    block = 3 * (manifest.degree + 1) ** 2
+    _check_bytes(f"--degree {manifest.degree}", block, "loss operator per segment")
+    _check_bytes(f"--segments {manifest.segments}", block * manifest.segments * runs,
+                 f"loss operator at --degree {manifest.degree} for {runs} lambda(s)")
+    records = -(-manifest.epochs // manifest.record_every) + 1
+    _check_bytes(f"--epochs {manifest.epochs}", 5 * records * runs,
+                 f"history at --record-every {manifest.record_every} for {runs} lambda(s)")
+
+
+def _check_samples(manifest: RunManifest, count: int):
+    """The (n, d+1) basis powers of count samples (losses._sample_tables) against _MAX_BYTES."""
+    _check_bytes(f"--degree {manifest.degree} over {count} samples",
+                 count * (manifest.degree + 1), "basis powers")
+
+
+def _check_bytes(flag: str, doubles: int, table: str):
+    """A table of doubles that flag asks for must fit _MAX_BYTES."""
+    if 8 * doubles > _MAX_BYTES:
+        raise ValueError(f"{flag}: {8 * doubles / 2**30:,.1f} GiB of {table} is above "
+                         f"the {_MAX_BYTES >> 30} GiB ceiling")
 
 
 def _write_fit(manifest: RunManifest, report):
@@ -447,7 +520,10 @@ def sweep(manifest: RunManifest, lambda_values) -> int:
             name = f"{name}_{seen[name]}"
         subs.append(replace(manifest, lam=value, out=str(outdir / name), repair=True))
     configs = [sub.to_train_config() for sub in subs]  # LossConfig checks each lambda
-    reports = fit_sweep(load_samples(manifest.input), configs[0], values)
+    _check_fit_sizes(manifest, len(values))
+    samples = load_samples(manifest.input)
+    _check_samples(manifest, len(samples))
+    reports = fit_sweep(samples, configs[0], values)
     rows = []
     for sub, report in zip(subs, reports):
         code, repair_report = _write_fit(sub, report)
@@ -582,6 +658,12 @@ class _Parser(argparse.ArgumentParser):
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # each command loads what it calls before the parser is built
+    if argv[:1] in (["fit"], ["sweep"]):
+        _bind(*_LAZY)
+    elif argv[:1] == ["repair"]:
+        _bind("repair_continuity")
     parser = _Parser(
         prog="ckspline",
         description="Piecewise-polynomial curve fitting with gradient descent "

@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 __all__ = [
+    "ConditioningError",
     "DomainError",
     "DomainMap",
     "SampleSet",
@@ -34,6 +35,14 @@ __all__ = [
 EDGE_SLACK = 1e-12
 # How the last segment meets the first (_boundaries states what each compares).
 BOUNDARY_MODES = ("open", "cyclic", "periodic")
+# The choices of the other option flags, checked by optimizers.OptimizerConfig
+# and training.TrainConfig, which export them; they live here with
+# BOUNDARY_MODES so that the CLI builds its parser without loading those
+# modules.
+OPTIMIZER_KINDS = ("sgd", "adam", "adamax", "amsgrad")
+REGULARIZATIONS = ("none", "degree_based")
+INITS = ("zeros", "least_squares")
+SCALINGS = ("none", "unit_segments")
 
 
 def _check_boundary_mode(mode: str):
@@ -43,6 +52,14 @@ def _check_boundary_mode(mode: str):
 
 class DomainError(ValueError):
     """An abscissa fell outside the spline's domain."""
+
+
+class ConditioningError(ArithmeticError):
+    """The Hermite system is numerically singular for the requested order.
+
+    repair raises it and exports it; it is defined here so that the CLI
+    catches it without loading repair.
+    """
 
 
 @dataclass(frozen=True)
@@ -272,17 +289,31 @@ def evaluate(model: SplineModel, x, j: int = 0):
 def _derivative_basis(u, degree, k):
     """(len(u), k+1, d+1): row j holds d^j/dx^j of each shifted monomial at offset u.
 
-    One pow per bitwise-distinct u and power (at uniform breakpoints every
-    boundary side has the same offset), gathered per order and per u; the
-    product is C-contiguous, which keeps einsum's summation order over it
-    fixed.
+    The pows are one per power and one per run of bitwise-equal consecutive
+    offsets (at uniform breakpoints every boundary side has the same offset,
+    so u is one run), gathered per order and per u; the product is
+    C-contiguous, which keeps einsum's summation order over it fixed.
     """
-    distinct, which = np.unique(u.view(np.int64), return_inverse=True)
+    distinct, which = _runs(u)
     j = np.arange(k + 1)[:, None]
     t = np.arange(degree + 1)
     factors = np.array([[math.perm(s, row) for s in range(degree + 1)] for row in range(k + 1)],
                        dtype=float)
-    return (factors * (distinct.view(float)[:, None] ** t).take(np.maximum(t - j, 0), axis=1))[which]
+    return (factors * (distinct[:, None] ** t).take(np.maximum(t - j, 0), axis=1))[which]
+
+
+def _runs(values):
+    """The first row of each run of bitwise-equal consecutive rows, and each row's run.
+
+    values is (n,) or (n, r) float; rows compare by their int64 bits, so -0.0
+    and 0.0 differ and a NaN equals its own bits.  Returns (firsts, which)
+    with values == firsts[which] bit for bit.
+    """
+    bits = values.view(np.int64)
+    differs = bits[1:] != bits[:-1]
+    starts = np.ones(len(values), dtype=bool)
+    starts[1:] = differs if differs.ndim == 1 else differs.any(axis=1)
+    return values[starts], np.cumsum(starts) - 1
 
 
 def _boundary_count(model: SplineModel, mode: str) -> int:

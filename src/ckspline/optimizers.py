@@ -14,6 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .model import OPTIMIZER_KINDS
+
 __all__ = [
     "OPTIMIZER_KINDS",
     "NonFiniteGradientError",
@@ -22,8 +24,6 @@ __all__ = [
     "init_state",
     "step",
 ]
-
-OPTIMIZER_KINDS = ("sgd", "adam", "adamax", "amsgrad")
 
 
 class NonFiniteGradientError(ArithmeticError):

@@ -18,8 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import (SplineModel, _boundaries, _boundary_count, _check_boundary_mode,
-                    _derivative_basis, _one_sided)
+from .model import (ConditioningError, SplineModel, _boundaries, _boundary_count,
+                    _check_boundary_mode, _derivative_basis, _one_sided, _runs)
 
 __all__ = [
     "ConditioningError",
@@ -37,10 +37,6 @@ _SCREEN = 1e-2
 # Hermite stack take about 1 MB at k = 3, whatever the number of segments;
 # smaller blocks let the fixed cost of each block's numpy calls show
 _BLOCK = 512
-
-
-class ConditioningError(ArithmeticError):
-    """The Hermite system is numerically singular for the requested order."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -66,10 +62,11 @@ def _hermite(left_x, left_derivs, right_x, right_derivs, center):
     """Batched two_point_hermite: (S,) intervals and centers, (S, k+1) derivatives.
 
     Each of the S confluent Vandermonde systems keeps its own nodes
-    (x - center) / length, rescaled to unit length.  One system is built and
-    conditioning-checked per bitwise-distinct node pair (at uniform
-    breakpoints every pair is (-1/2, 1/2)); one batched LU solve then does
-    all S on the gathered stack.  Returns (S, 2k+2) coefficients.
+    (x - center) / length, rescaled to unit length.  The systems are built
+    and conditioning-checked one per run of bitwise-equal consecutive
+    offsets, here node pairs (at uniform breakpoints every pair is
+    (-1/2, 1/2), one run); one batched LU solve then does all S on the
+    gathered stack.  Returns (S, 2k+2) coefficients.
 
     The check raises ConditioningError when np.linalg.cond of a system
     exceeds _MAX_CONDITION.  kappa_F = ||A||_F ||A^-1||_F bounds that 2-norm
@@ -82,8 +79,8 @@ def _hermite(left_x, left_derivs, right_x, right_derivs, center):
     size = 2 * order + 2
     length = right_x - left_x
     nodes = np.stack([left_x - center, right_x - center], axis=1) / length[:, None]
-    pairs, which = np.unique(nodes.view(np.int64), axis=0, return_inverse=True)
-    system = _derivative_basis(pairs.view(float).ravel(), size - 1, order).reshape(-1, size, size)
+    pairs, which = _runs(nodes)
+    system = _derivative_basis(pairs.ravel(), size - 1, order).reshape(-1, size, size)
     rhs = np.stack([left_derivs, right_derivs], axis=1)
     rhs = rhs * length[:, None, None] ** np.arange(order + 1)
     try:
@@ -98,7 +95,7 @@ def _hermite(left_x, left_derivs, right_x, right_derivs, center):
             f"Hermite system for order k={order} is too ill-conditioned; "
             "use a smaller k or rescale the segments"
         )
-    solution = np.linalg.solve(system[which.ravel()], rhs.reshape(-1, size, 1))[..., 0]
+    solution = np.linalg.solve(system[which], rhs.reshape(-1, size, 1))[..., 0]
     return solution / length[:, None] ** np.arange(size)
 
 

@@ -23,7 +23,7 @@ import numpy as np
 
 from .losses import (_RECORD_BYTES, LossConfig, LossEngine, _check_order, _count_groups,
                      _sample_tables)
-from .model import DomainMap, SampleSet, SplineModel
+from .model import INITS, REGULARIZATIONS, SCALINGS, DomainMap, SampleSet, SplineModel
 from .optimizers import OptimizerConfig, _first_non_finite, _update, init_state
 
 __all__ = [
@@ -38,9 +38,6 @@ __all__ = [
     "fit_sweep",
 ]
 
-REGULARIZATIONS = ("none", "degree_based")
-INITS = ("zeros", "least_squares")
-SCALINGS = ("none", "unit_segments")
 # fit_sweep keeps the stacks of a block of at most _BLOCK epochs, in at most
 # about _RECORD_BYTES; LossEngine._breakdowns bounds its record passes itself
 _BLOCK = 80

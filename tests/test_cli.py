@@ -608,6 +608,79 @@ def test_bad_flag_exits_1_before_any_file_is_read(tmp_path, capsys, monkeypatch,
     assert [path.name for path in tmp_path.iterdir()] == configs
 
 
+@pytest.mark.parametrize("argv, message", [
+    ("eval --model model.json --out run --resolution 1099511627776",
+     "--resolution 1099511627776 and --k 2: 32,768.0 GiB of curve block"),
+    ("fit --input data.csv --out run --segments 1000000000",
+     "--segments 1000000000: 804.7 GiB of loss operator at --degree 5 for 1 lambda(s)"),
+    ("fit --input data.csv --out run --degree 100000",
+     "--degree 100000: 223.5 GiB of loss operator per segment"),
+    ("sweep --input data.csv --out run --lambdas 1,0 --epochs 1000000000000 --record-every 1",
+     "--epochs 1000000000000: 74,505.8 GiB of history at --record-every 1 for 2 lambda(s)"),
+])
+def test_flag_asking_for_more_than_the_ceiling_exits_1_before_allocating(
+        tmp_path, capsys, monkeypatch, argv, message):
+    # each of these once ended in a MemoryError traceback; the inputs exist,
+    # so only the size estimate stops the command
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "data.csv").write_text(LINE_CSV)
+    save_model(SplineModel.from_breakpoints(np.arange(3.0), 5), tmp_path / "model.json")
+    main(["fit", "--bogus"])  # builds a parser once, outside the trace
+    capsys.readouterr()
+    tracemalloc.start()
+    try:
+        code = main(argv.split())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err == f"error: {message} is above the 1 GiB ceiling\n"
+    assert peak < 256 * 1024
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("command", ["fit", "sweep --lambdas 1"])
+def test_degree_over_many_samples_exits_1_before_the_sample_table(tmp_path, capsys, command):
+    # 30,000 samples at degree 5999: basis powers of 1.34 GiB, while the
+    # loss operator (0.80 GiB) and every flag-only estimate fit
+    path = tmp_path / "data.csv"
+    path.write_text("x,y\n" + "".join(f"{i},0\n" for i in range(30_000)))
+    argv = f"{command} --input {path} --out {tmp_path / 'run'} --segments 1 --degree 5999"
+    assert main(argv.split()) == 1
+    assert capsys.readouterr().err == (
+        "error: --degree 5999 over 30000 samples: 1.3 GiB of basis powers is above the "
+        "1 GiB ceiling\n")
+    assert not (tmp_path / "run").exists()
+
+
+def test_no_command_calls_np_unique(tmp_path, monkeypatch, capsys):
+    # numpy's np.unique faults in about 1.7 MB of code per process; repair
+    # and the ck bases find repeated offsets by runs instead, here on
+    # breakpoints whose widths repeat apart
+    data = write_benchmark_data(tmp_path / "bench.csv")
+    rng = np.random.default_rng(59)
+    xi = np.cumsum(np.append(0.0, np.tile([1.0, 2.0], 6)))
+    save_model(SplineModel.from_breakpoints(xi, 5, rng.normal(size=(12, 6))), tmp_path / "in.json")
+
+    def unique(*args, **kwargs):
+        raise AssertionError("np.unique was called")
+
+    monkeypatch.setattr(np, "unique", unique)
+    fit_flags = ["--segments", "4", "--degree", "5", "--k", "2", "--epochs", "20"]
+    for argv in (
+        ["fit", "--input", str(data), "--out", str(tmp_path / "fit"), "--repair",
+         "--init", "least_squares", *fit_flags],
+        ["sweep", "--input", str(data), "--out", str(tmp_path / "sweep"), "--lambdas", "1,0.5",
+         "--boundary-mode", "periodic", *fit_flags],
+        ["repair", "--model", str(tmp_path / "in.json"), "--out", str(tmp_path / "repair"),
+         "--k", "2", "--boundary-mode", "cyclic"],
+        ["eval", "--model", str(tmp_path / "repair" / "model.json"), "--out",
+         str(tmp_path / "eval"), "--k", "2"],
+    ):
+        assert main(argv) == 0, capsys.readouterr().err
+
+
 def test_fit_repair_flag_writes_report(tmp_path):
     data = write_benchmark_data(tmp_path / "bench.csv")
     out = tmp_path / "run"

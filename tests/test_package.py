@@ -1,5 +1,6 @@
-"""Package behaviour: lazy exports, the CLI's BLAS thread guard, identity equality."""
+"""Package behaviour: lazy exports and loads, the CLI's BLAS thread guard, identity equality."""
 
+import ast
 import importlib
 import json
 import os
@@ -18,6 +19,7 @@ from ckspline import (
     SplineModel,
     TrainingReport,
     init_state,
+    save_model,
 )
 
 THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
@@ -78,6 +80,110 @@ def test_package_import_loads_no_numpy():
     assert not report["numpy"] and report["env"] == thread_env()
 
 
+TRAINING = {"ckspline.losses", "ckspline.optimizers", "ckspline.training"}
+# runs cli.main on the JSON argv lists in argv[1] and prints their exit codes
+# and the ckspline modules loaded after them
+COMMANDS = """
+import contextlib, io, json, sys
+import ckspline.cli as cli
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [cli.main(argv) for argv in json.loads(sys.argv[1])]
+print(json.dumps([codes, sorted(name for name in sys.modules if name.startswith("ckspline."))]))
+"""
+
+
+def run_commands(*argvs) -> tuple[list, set]:
+    done = child(["-c", COMMANDS, json.dumps(argvs)])
+    done.check_returncode()
+    codes, loaded = json.loads(done.stdout)
+    return codes, set(loaded)
+
+
+@pytest.fixture
+def inputs(tmp_path):
+    """A small x,y CSV and a degree-5 model, with argv pieces for each command."""
+    x = np.linspace(0.0, 4.0, 17)
+    (tmp_path / "data.csv").write_text(
+        "x,y\n" + "".join(f"{a!r},{b!r}\n" for a, b in zip(x.tolist(), np.sin(x).tolist())))
+    rng = np.random.default_rng(61)
+    save_model(SplineModel.from_breakpoints(np.arange(5.0), 5, rng.normal(size=(4, 6))),
+               tmp_path / "model.json")
+    fit = ["--input", str(tmp_path / "data.csv"), "--segments", "2", "--degree", "5",
+           "--k", "2", "--epochs", "5"]
+    return {
+        "fit": ["fit", "--out", str(tmp_path / "fit"), "--repair", *fit],
+        "sweep": ["sweep", "--out", str(tmp_path / "sweep"), "--lambdas", "1,0.5", *fit],
+        "repair": ["repair", "--model", str(tmp_path / "model.json"), "--out",
+                   str(tmp_path / "repair"), "--k", "2"],
+        "eval": ["eval", "--model", str(tmp_path / "model.json"), "--out",
+                 str(tmp_path / "eval"), "--k", "2"],
+    }
+
+
+def test_cli_import_loads_no_training_module_and_no_repair():
+    assert not (TRAINING | {"ckspline.repair"}) & run_commands()[1]
+
+
+@pytest.mark.parametrize("command, loads, skips", [
+    ("fit", TRAINING | {"ckspline.repair"}, set()),
+    ("sweep", TRAINING | {"ckspline.repair"}, set()),
+    ("repair", {"ckspline.repair"}, TRAINING),
+    ("eval", set(), TRAINING | {"ckspline.repair"}),
+])
+def test_each_command_loads_only_the_modules_it_calls(inputs, command, loads, skips):
+    codes, loaded = run_commands(inputs[command])
+    assert codes == [0]
+    assert loads <= loaded and not skips & loaded
+
+
+def traced_patched_names() -> tuple:
+    """bench/traced.py's PATCHED: the cli names its spans replace with setattr."""
+    traced = Path(SRC).parent / "bench" / "traced.py"
+    if not traced.is_file():
+        pytest.skip("no bench/traced.py beside the source tree")
+    for node in ast.parse(traced.read_text()).body:
+        if isinstance(node, ast.Assign) and [t.id for t in node.targets] == ["PATCHED"]:
+            return ast.literal_eval(node.value)
+    raise AssertionError("bench/traced.py defines no PATCHED")
+
+
+# wraps each name of argv[1] on ckspline.cli with setattr, runs cli.main on
+# the argv lists of argv[2], puts the originals back and prints the exit
+# codes, the calls per wrapper and whether every original is back
+WRAPPED = """
+import contextlib, io, json, sys
+import ckspline.cli as cli
+names, argvs = json.loads(sys.argv[1]), json.loads(sys.argv[2])
+calls = dict.fromkeys(names, 0)
+
+def wrap(name, fn):
+    def wrapper(*args, **kwargs):
+        calls[name] += 1
+        return fn(*args, **kwargs)
+    return wrapper
+
+originals = {name: getattr(cli, name) for name in names}
+for name, fn in originals.items():
+    setattr(cli, name, wrap(name, fn))
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [cli.main(argv) for argv in argvs]
+for name, fn in originals.items():
+    setattr(cli, name, fn)
+print(json.dumps([codes, calls, all(getattr(cli, name) is fn for name, fn in originals.items())]))
+"""
+
+
+def test_every_traced_name_is_a_cli_attribute_the_commands_call(inputs):
+    names = traced_patched_names()
+    assert "fit" in names and "repair_continuity" in names
+    argvs = [inputs["fit"], inputs["repair"], inputs["eval"]]
+    done = child(["-c", WRAPPED, json.dumps(names), json.dumps(argvs)])
+    done.check_returncode()
+    codes, calls, restored = json.loads(done.stdout)
+    assert codes == [0, 0, 0] and restored
+    assert all(calls[name] > 0 for name in names), calls
+
+
 def test_module_runs_as_the_command():
     done = child(["-m", "ckspline.cli", "--help"])
     assert done.returncode == 0 and done.stdout.startswith("usage: ckspline")
@@ -113,6 +219,15 @@ def test_every_export_is_its_defining_modules_object():
         assert value.__module__ == f"ckspline.{module}"
     assert ckspline.__all__ == list(ckspline._EXPORTS)
     assert set(ckspline.__all__) <= set(dir(ckspline))
+
+
+def test_flag_choices_and_conditioning_error_stay_importable_where_they_were():
+    from ckspline import model, optimizers, repair, training
+
+    assert optimizers.OPTIMIZER_KINDS is model.OPTIMIZER_KINDS
+    for name in ("REGULARIZATIONS", "INITS", "SCALINGS"):
+        assert getattr(training, name) is getattr(model, name)
+    assert repair.ConditioningError is model.ConditioningError is ckspline.ConditioningError
 
 
 def test_unknown_export_raises_attribute_error():

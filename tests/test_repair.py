@@ -5,8 +5,11 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import ckspline.model
 from ckspline import (
     LossConfig,
+    LossEngine,
+    SampleSet,
     SplineModel,
     ck_loss,
     eval_segment,
@@ -14,7 +17,7 @@ from ckspline import (
     two_point_hermite,
 )
 from ckspline import repair
-from ckspline.model import _boundaries, _derivative_basis, _one_sided, rebase
+from ckspline.model import _boundaries, _derivative_basis, _one_sided, _runs, rebase
 from ckspline.repair import ConditioningError, _hermite
 
 from conftest import model_from_global
@@ -158,6 +161,55 @@ def test_batched_hermite_equals_one_call_per_side_bit_for_bit():
     for i in range(len(lengths)):
         one = two_point_hermite(xi[i], left[i], xi[i + 1], right[i], centers[i])
         assert batched[i].tobytes() == one.tobytes()
+
+
+def basis_per_offset(u, degree, k):
+    """_derivative_basis of one offset at a time, stacked."""
+    return np.concatenate([_derivative_basis(u[i:i + 1], degree, k) for i in range(len(u))])
+
+
+def hermite_per_side(*arrays):
+    """_hermite of one corrected side at a time, stacked."""
+    return np.concatenate([_hermite(*(a[i:i + 1] for a in arrays)) for i in range(len(arrays[0]))])
+
+
+@pytest.mark.parametrize("mode", ["open", "cyclic", "periodic"])
+def test_offsets_repeating_apart_give_the_bits_of_one_boundary_at_a_time(monkeypatch, mode):
+    # widths 1, 2, 1, 2, ...: each offset and node pair repeats, but never
+    # next to its repeat, so every boundary side is a run of its own
+    k, m = 2, 12
+    rng = np.random.default_rng(53)
+    xi = np.cumsum(np.append(-3.0, np.tile([1.0, 2.0], m // 2)))
+    model = SplineModel.from_breakpoints(xi, 2 * k + 1, rng.normal(size=(m, 2 * k + 2)))
+    u = xi[1:] - model.centers
+    assert len(np.unique(u)) == 2 and len(_runs(u)[0]) == m
+    samples = SampleSet(np.linspace(xi[0], xi[-1], 97), rng.normal(size=97))
+    config = LossConfig(0.5, k, boundary_mode=mode)
+    results = []
+    for one_at_a_time in (False, True):
+        if one_at_a_time:
+            monkeypatch.setattr(ckspline.model, "_derivative_basis", basis_per_offset)
+            monkeypatch.setattr(repair, "_derivative_basis", basis_per_offset)
+            monkeypatch.setattr(repair, "_hermite", hermite_per_side)
+        repaired, report = repair_continuity(model, k, mode)
+        results.append([repaired.coefficients, report.pre_defects, report.post_defects,
+                        report.mean_targets, LossEngine(model, samples, config).gradient()])
+    batched, reference = results
+    for got, expected in zip(batched, reference):
+        assert got.tobytes() == expected.tobytes()
+
+
+def test_runs_compare_bits():
+    values = np.array([0.0, 0.0, -0.0, np.nan, np.nan, 1.0, 0.0])
+    firsts, which = _runs(values)
+    assert firsts.tobytes() == values[[0, 2, 3, 5, 6]].tobytes()
+    assert which.tolist() == [0, 0, 1, 2, 2, 3, 4]
+    pairs = np.array([[0.5, 1.0], [0.5, 1.0], [0.5, 2.0], [0.5, 1.0]])
+    firsts, which = _runs(pairs)
+    assert firsts.tolist() == [[0.5, 1.0], [0.5, 2.0], [0.5, 1.0]]
+    assert which.tolist() == [0, 0, 1, 2]
+    firsts, which = _runs(np.empty((0, 2)))
+    assert firsts.shape == (0, 2) and which.shape == (0,)
 
 
 # ---------------------------------------------------------------- repair
