@@ -1,25 +1,36 @@
 """Command-line front end: fit, repair, eval, and lambda-sweep runs.
 
 Input is two-column x,y CSV; configuration comes from a flat key=value file
-(--config) with CLI flags taking precedence.  Results land in the output
-directory as model.json, history.csv, curve.csv, and repair.json (plus
-summary.csv for a sweep).  One writer, _text._rows, writes every number of
-every file as exactly the bytes of "%.17g" % value: a table of 512 values or
-more through a numpy kernel, up to 2,048 values at a time, and a smaller one
-through the %-format itself.  So reloading is lossless (load_model reads the
-"-0" of a negative zero back as -0.0) and reruns of the same manifest are
-byte-identical.  load_model accepts only JSON numbers that fit a double in
-the numeric fields.  It walks the file's text with json's own scanner and
-decodes the numeric arrays a block of about 2,048 numbers at a time into
-float64, so that its peak memory stays near twice the file's size.
+(--config) with CLI flags taking precedence.  RunManifest is the one table
+of options: each field's line states its default, the commands whose flag
+sets it, its TrainConfig target, its choices and its help.  The parser,
+the config keys and to_train_config are built from it, and an error that
+starts with a library field names the command's flag instead (--lr, not
+learning_rate).  beta1, beta2 and epsilon are config keys with no flag;
+--config and sweep's --lambdas are flags with no key.
+
+Results land in the output directory as model.json, history.csv, curve.csv,
+and repair.json (plus summary.csv for a sweep).  One writer, _text._rows,
+writes every number of every file as exactly the bytes of "%.17g" % value:
+a table of 512 values or more through a numpy kernel, up to 2,048 values at
+a time, and a smaller one through the %-format itself.  So reloading is
+lossless (load_model reads the "-0" of a negative zero back as -0.0) and
+reruns of the same manifest are byte-identical.  load_model accepts only
+JSON numbers that fit a double in the numeric fields.  It walks the file's
+text with json's own scanner and decodes the numeric arrays a block of
+about 2,048 numbers at a time into float64, so that its peak memory stays
+near twice the file's size.
 
 Every command checks its flags before it reads a file, including that no
-flag asks for an array above _MAX_BYTES (1 GiB).  Each command loads only
-the modules it calls: fit and sweep the training modules (losses,
-optimizers, training) and repair, repair only repair, eval neither.  Exit
-codes: 0 success, 1 configuration error (including a malformed or unknown
-flag, a malformed model file or an ill-conditioned repair), 2 divergence, 3
-I/O error.  `python -m ckspline.cli` runs as the `ckspline` command.
+flag asks for an array above _MAX_BYTES (1 GiB); the relations that need
+the data (the samples' basis powers, eval's --k against the model's degree
+and its one curve block when a grid step underflows) are checked once the
+file is read, before the tables are built.  Each command loads only the
+modules it calls: fit and sweep the training modules (losses, optimizers,
+training) and repair, repair only repair, eval neither.  Exit codes: 0
+success, 1 configuration error (including a malformed or unknown flag, a
+malformed model file or an ill-conditioned repair), 2 divergence, 3 I/O
+error.  `python -m ckspline.cli` runs as the `ckspline` command.
 
 Importing this module before numpy, as the `ckspline` command does, sets
 OPENBLAS_NUM_THREADS=1 unless OPENBLAS_NUM_THREADS, GOTO_NUM_THREADS or
@@ -33,6 +44,7 @@ exports its names lazily so that the command reaches this guard first.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import importlib
 import json
@@ -41,7 +53,7 @@ import os
 import re
 import sys
 import typing
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 # before numpy loads: one BLAS thread unless the environment names a count
@@ -70,10 +82,11 @@ __all__ = [
 
 # The names the commands call from the training modules and repair, each
 # with its module.  They are module globals bound on first use, so that
-# repair loads only repair and eval neither: fit and sweep bind them all
-# before main builds the parser, repair binds repair_continuity, and any
-# other reader, such as a tracer that wraps cli.fit, loads a name through
-# __getattr__.  _bind keeps a name already bound, a tracer's wrapper too.
+# repair loads only repair and eval neither: fit and sweep bind them all as
+# they build their TrainConfigs (RunManifest.to_train_config), repair binds
+# repair_continuity once the model is loaded, and any other reader, such as
+# a tracer that wraps cli.fit, loads a name through __getattr__.  _bind
+# keeps a name already bound, a tracer's wrapper too.
 _LAZY = {
     "LossConfig": "losses",
     "OptimizerConfig": "optimizers",
@@ -82,7 +95,6 @@ _LAZY = {
     "fit_sweep": "training",
     "repair_continuity": "repair",
 }
-_KEY_ALIASES = {"lambda": "lam"}
 # curve.csv rows per block, when a segment's rows fit: a block's grid,
 # values and table take well under 1 MB, and its text goes to the file
 # before the next block is built; smaller blocks cost time per block
@@ -108,52 +120,90 @@ def _bind(*names):
             __getattr__(name)
 
 
+def _option(default, commands, target=None, help=None, *, flag=None, choices=None):
+    """A RunManifest field: its default, the commands whose flag sets it, its
+    TrainConfig target (such as "loss.lam"), help text, flag and choices.
+
+    The flag is --<name with dashes> unless flag names it; a field of no
+    command is a config key only.
+    """
+    return field(default=default, metadata={"commands": commands, "target": target,
+                                            "help": help, "flag": flag, "choices": choices})
+
+
+def _flag(option) -> str:
+    return option.metadata["flag"] or "--" + option.name.replace("_", "-")
+
+
+_TRAIN, _ALL = ("fit", "sweep"), ("fit", "sweep", "repair", "eval")
+
+
 @dataclass
 class RunManifest:
-    """Everything one fit needs; mirrors the CLI flags and config-file keys."""
+    """Everything one run needs; each field is a config key and the flag of its commands."""
 
-    input: str = ""
-    out: str = ""
-    model: str = ""
-    segments: int = 8
-    degree: int = 5
-    k: int = 2
-    lam: float = 0.5
-    epochs: int = 1000
-    optimizer: str = "amsgrad"
-    lr: float = 0.1
-    momentum: float = 0.0
-    nesterov: bool = False
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-7
-    regularization: str = "none"
-    init: str = "zeros"
-    scaling: str = "unit_segments"
-    boundary_mode: str = "open"
-    strain_weight: float = 0.0
-    resolution: int = 33
-    record_every: int = 10
-    repair: bool = False
+    input: str = _option("", _TRAIN, None, "input CSV with header x,y")
+    out: str = _option("", _ALL, None, "output directory")
+    model: str = _option("", ("repair", "eval"), None, "model.json to read")
+    segments: int = _option(8, _TRAIN, "segments")
+    degree: int = _option(5, _TRAIN, "degree")
+    k: int = _option(2, _ALL, "loss.k", "continuity order, or eval's highest derivative")
+    lam: float = _option(0.5, _TRAIN, "loss.lam", "blend weight between fit error and "
+                         "continuity", flag="--lambda")
+    epochs: int = _option(1000, _TRAIN, "epochs")
+    optimizer: str = _option("amsgrad", _TRAIN, "optimizer.kind", choices=OPTIMIZER_KINDS)
+    lr: float = _option(0.1, _TRAIN, "optimizer.learning_rate", "learning rate")
+    momentum: float = _option(0.0, _TRAIN, "optimizer.momentum")
+    nesterov: bool = _option(False, _TRAIN, "optimizer.nesterov")
+    beta1: float = _option(0.9, (), "optimizer.beta1")
+    beta2: float = _option(0.999, (), "optimizer.beta2")
+    epsilon: float = _option(1e-7, (), "optimizer.epsilon")
+    regularization: str = _option("none", _TRAIN, "regularization", choices=REGULARIZATIONS)
+    init: str = _option("zeros", _TRAIN, "init", choices=INITS)
+    scaling: str = _option("unit_segments", _TRAIN, "scaling", choices=SCALINGS)
+    boundary_mode: str = _option("open", _TRAIN + ("repair",), "loss.boundary_mode",
+                                 choices=BOUNDARY_MODES)
+    strain_weight: float = _option(0.0, _TRAIN, "loss.strain_weight")
+    resolution: int = _option(33, _ALL, None, "curve points per segment")
+    record_every: int = _option(10, _TRAIN, "record_every")
+    repair: bool = _option(False, ("fit",), None, "apply continuity repair after fitting")
 
     def to_train_config(self) -> TrainConfig:
         """The training.TrainConfig of these settings; loads what run and sweep call."""
         _bind(*_LAZY)
-        return TrainConfig(
-            segments=self.segments,
-            degree=self.degree,
-            epochs=self.epochs,
-            loss=LossConfig(lam=self.lam, k=self.k, boundary_mode=self.boundary_mode,
-                            strain_weight=self.strain_weight),
-            optimizer=OptimizerConfig(kind=self.optimizer, learning_rate=self.lr,
-                                      momentum=self.momentum, nesterov=self.nesterov,
-                                      beta1=self.beta1, beta2=self.beta2,
-                                      epsilon=self.epsilon),
-            regularization=self.regularization,
-            init=self.init,
-            scaling=self.scaling,
-            record_every=self.record_every,
-        )
+        parts = {"": {}, "loss": {}, "optimizer": {}}
+        for option in fields(self):
+            if option.metadata["target"]:
+                part, _, name = option.metadata["target"].rpartition(".")
+                parts[part][name] = getattr(self, option.name)
+        return TrainConfig(loss=LossConfig(**parts["loss"]),
+                           optimizer=OptimizerConfig(**parts["optimizer"]), **parts[""])
+
+
+_TYPES = typing.get_type_hints(RunManifest)
+# config keys spelled as their flag, not as their field
+_CONFIG_KEYS = {_flag(option)[2:]: option.name for option in fields(RunManifest)
+                if option.metadata["flag"]}
+
+
+@contextlib.contextmanager
+def _flag_names(command: str, **flags):
+    """Reraises a ValueError whose text starts with a library field, such as
+    learning_rate, with command's flag for that field, such as --lr, instead.
+
+    flags gives a field another flag, as sweep gives lam its --lambdas.
+    """
+    try:
+        yield
+    except ValueError as exc:
+        name, _, rest = str(exc).partition(" ")
+        for option in fields(RunManifest):
+            if command in option.metadata["commands"]:
+                flags.setdefault((option.metadata["target"] or option.name).rpartition(".")[2],
+                                 _flag(option))
+        if name not in flags:
+            raise
+        raise ValueError(f"{flags[name]} {rest}") from None
 
 
 def load_samples(path) -> SampleSet:
@@ -367,6 +417,15 @@ def load_model(path) -> SplineModel:
         raise ValueError(f"{path}: malformed model file: {exc}") from None
 
 
+def _underflows(model: SplineModel, resolution: int) -> bool:
+    """Whether a segment's curve grid step underflows to 0.
+
+    linspace then switches the whole array to another formula, so
+    _write_curve writes such a model as one block.
+    """
+    return bool((np.diff(model.breakpoints) / (resolution - 1) == 0).any())
+
+
 def _write_curve(model: SplineModel, k: int, resolution: int, path: Path):
     """Sampled curve and derivatives 0..k in data coordinates, a block of segments at a time.
 
@@ -375,11 +434,7 @@ def _write_curve(model: SplineModel, k: int, resolution: int, path: Path):
     block is built, so the memory held does not grow with the model.
     """
     xi, m = model.breakpoints, model.num_segments
-    per_block = max(1, _CURVE_ROWS // (resolution - 1))
-    if (np.diff(xi) / (resolution - 1) == 0).any():
-        # when a step underflows to 0, linspace switches the whole array to
-        # another formula, so such a model is one block
-        per_block = m
+    per_block = m if _underflows(model, resolution) else max(1, _CURVE_ROWS // (resolution - 1))
 
     def blocks():
         for start in range(0, m, per_block):
@@ -417,12 +472,10 @@ def _write_repair_report(report, path: Path):
 
 def run(manifest: RunManifest) -> int:
     """Fit per the manifest and write all result files; see module exit codes."""
-    _check_manifest(manifest, "fit", "input")
-    config = manifest.to_train_config()
-    _check_fit_sizes(manifest, 1)
-    samples = load_samples(manifest.input)
-    _check_samples(manifest, len(samples))
-    return _write_fit(manifest, fit(samples, config))[0]
+    with _flag_names("fit"):
+        _check_manifest(manifest, "fit", "input")
+        config = manifest.to_train_config()
+    return _write_fit(manifest, fit(_fit_samples(manifest, 1), config))[0]
 
 
 def _check_manifest(manifest: RunManifest, command: str, source: str):
@@ -441,11 +494,13 @@ def _check_manifest(manifest: RunManifest, command: str, source: str):
                  rows * (manifest.k + 2), "curve block")
 
 
-def _check_fit_sizes(manifest: RunManifest, runs: int):
-    """A fit's largest tables against _MAX_BYTES, before any is allocated.
+def _fit_samples(manifest: RunManifest, runs: int) -> SampleSet:
+    """The samples of manifest.input, once a fit of runs lambdas fits _MAX_BYTES.
 
-    The loss operator holds a (d+1, 3(d+1)) block row per segment and run
-    (losses._Forms), and the history a row of 5 per record epoch and run.
+    Its largest tables are checked before they are allocated: the loss
+    operator's (d+1, 3(d+1)) block row per segment and run (losses._Forms)
+    and the history's row of 5 per record epoch and run before the read, and
+    the (n, d+1) basis powers of the n samples (losses._sample_tables) after.
     """
     block = 3 * (manifest.degree + 1) ** 2
     _check_bytes(f"--degree {manifest.degree}", block, "loss operator per segment")
@@ -454,12 +509,10 @@ def _check_fit_sizes(manifest: RunManifest, runs: int):
     records = -(-manifest.epochs // manifest.record_every) + 1
     _check_bytes(f"--epochs {manifest.epochs}", 5 * records * runs,
                  f"history at --record-every {manifest.record_every} for {runs} lambda(s)")
-
-
-def _check_samples(manifest: RunManifest, count: int):
-    """The (n, d+1) basis powers of count samples (losses._sample_tables) against _MAX_BYTES."""
-    _check_bytes(f"--degree {manifest.degree} over {count} samples",
-                 count * (manifest.degree + 1), "basis powers")
+    samples = load_samples(manifest.input)
+    _check_bytes(f"--degree {manifest.degree} over {len(samples)} samples",
+                 len(samples) * (manifest.degree + 1), "basis powers")
+    return samples
 
 
 def _check_bytes(flag: str, doubles: int, table: str):
@@ -502,28 +555,26 @@ def sweep(manifest: RunManifest, lambda_values) -> int:
     (training.fit_sweep); each lambda's files are then written in order,
     and the first diverged lambda ends the sweep with exit code 2.
     """
-    _check_manifest(manifest, "sweep", "input")
-    values = list(lambda_values)
-    if not values:
-        raise ValueError("--lambdas must not be empty")
-    if manifest.degree < 2 * manifest.k + 1:
-        raise ValueError(
-            f"sweep repairs each fit and needs degree >= 2k+1 = {2 * manifest.k + 1}"
-        )
-    outdir = Path(manifest.out)
-    seen: dict[str, int] = {}
-    subs = []
-    for value in values:
-        name = f"lambda_{value:g}"
-        seen[name] = seen.get(name, 0) + 1
-        if seen[name] > 1:
-            name = f"{name}_{seen[name]}"
-        subs.append(replace(manifest, lam=value, out=str(outdir / name), repair=True))
-    configs = [sub.to_train_config() for sub in subs]  # LossConfig checks each lambda
-    _check_fit_sizes(manifest, len(values))
-    samples = load_samples(manifest.input)
-    _check_samples(manifest, len(samples))
-    reports = fit_sweep(samples, configs[0], values)
+    with _flag_names("sweep", lam="--lambdas"):
+        _check_manifest(manifest, "sweep", "input")
+        values = list(lambda_values)
+        if not values:
+            raise ValueError("--lambdas must not be empty")
+        if manifest.degree < 2 * manifest.k + 1:
+            raise ValueError(
+                f"sweep repairs each fit and needs degree >= 2k+1 = {2 * manifest.k + 1}"
+            )
+        outdir = Path(manifest.out)
+        seen: dict[str, int] = {}
+        subs = []
+        for value in values:
+            name = f"lambda_{value:g}"
+            seen[name] = seen.get(name, 0) + 1
+            if seen[name] > 1:
+                name = f"{name}_{seen[name]}"
+            subs.append(replace(manifest, lam=value, out=str(outdir / name), repair=True))
+        configs = [sub.to_train_config() for sub in subs]  # LossConfig checks each lambda
+    reports = fit_sweep(_fit_samples(manifest, len(values)), configs[0], values)
     rows = []
     for sub, report in zip(subs, reports):
         code, repair_report = _write_fit(sub, report)
@@ -535,19 +586,19 @@ def sweep(manifest: RunManifest, lambda_values) -> int:
     return 0
 
 
-def _coerce(name: str, raw: str, target_type):
-    raw = raw.strip()
+def _coerce(source: str, raw: str, target_type):
+    """raw as a target_type; source names where raw came from in an error."""
     if target_type is bool:
         low = raw.lower()
         if low in ("1", "true", "yes", "on"):
             return True
         if low in ("0", "false", "no", "off"):
             return False
-        raise ValueError(f"config key {name}: expected a boolean, got {raw!r}")
+        raise ValueError(f"{source}: expected a boolean, got {raw!r}")
     try:
         return target_type(raw)
     except ValueError:
-        raise ValueError(f"config key {name}: cannot parse {raw!r}") from None
+        raise ValueError(f"{source}: cannot parse {raw!r}") from None
 
 
 def _read_manifest_file(path: Path) -> dict:
@@ -561,50 +612,20 @@ def _read_manifest_file(path: Path) -> dict:
             raise ValueError(f"{path}: line {lineno}: expected key=value")
         key, _, value = line.partition("=")
         key = key.strip().replace("-", "_")
-        values[_KEY_ALIASES.get(key, key)] = value.strip()
+        values[_CONFIG_KEYS.get(key, key)] = value.strip()
     return values
 
 
 def _build_manifest(args: argparse.Namespace) -> RunManifest:
+    """The defaults, then the --config file's keys, then the flags given."""
     manifest = RunManifest()
-    types = typing.get_type_hints(RunManifest)
     if getattr(args, "config", None):
         for key, raw in _read_manifest_file(Path(args.config)).items():
-            if key not in types:
+            if key not in _TYPES:
                 raise ValueError(f"unknown config key {key!r}")
-            setattr(manifest, key, _coerce(key, raw, types[key]))
-    for name in types:
-        value = getattr(args, name, None)
-        if value is not None:
-            setattr(manifest, name, value)
-    return manifest
-
-
-def _add_fit_flags(parser: argparse.ArgumentParser):
-    parser.add_argument("--input", help="input CSV with header x,y")
-    parser.add_argument("--segments", type=int)
-    parser.add_argument("--degree", type=int)
-    parser.add_argument("--k", type=int, help="continuity order")
-    parser.add_argument("--lambda", dest="lam", type=float,
-                        help="blend weight between fit error and continuity")
-    parser.add_argument("--epochs", type=int)
-    parser.add_argument("--optimizer", choices=OPTIMIZER_KINDS)
-    parser.add_argument("--lr", type=float, help="learning rate")
-    parser.add_argument("--momentum", type=float)
-    parser.add_argument("--nesterov", action=argparse.BooleanOptionalAction, default=None)
-    parser.add_argument("--regularization", choices=REGULARIZATIONS)
-    parser.add_argument("--init", choices=INITS)
-    parser.add_argument("--scaling", choices=SCALINGS)
-    parser.add_argument("--boundary-mode", dest="boundary_mode",
-                        choices=BOUNDARY_MODES)
-    parser.add_argument("--strain-weight", dest="strain_weight", type=float)
-    parser.add_argument("--record-every", dest="record_every", type=int)
-
-
-def _add_common(parser: argparse.ArgumentParser):
-    parser.add_argument("--config", help="flat key=value configuration file")
-    parser.add_argument("--out", help="output directory")
-    parser.add_argument("--resolution", type=int, help="curve points per segment")
+            setattr(manifest, key, _coerce(f"config key {key}", raw, _TYPES[key]))
+    return replace(manifest, **{name: value for name, value in vars(args).items()
+                                if name in _TYPES and value is not None})
 
 
 def _cmd_fit(args) -> int:
@@ -613,20 +634,16 @@ def _cmd_fit(args) -> int:
 
 def _cmd_sweep(args) -> int:
     manifest = _build_manifest(args)
-    values = []
-    for part in (args.lambdas or "").split(","):
-        if part.strip():
-            try:
-                values.append(float(part))
-            except ValueError:
-                raise ValueError(f"--lambdas: cannot parse {part.strip()!r}") from None
-    return sweep(manifest, values)
+    parts = [part.strip() for part in (args.lambdas or "").split(",")]
+    return sweep(manifest, [_coerce("--lambdas", part, float) for part in parts if part])
 
 
 def _cmd_repair(args) -> int:
     manifest = _build_manifest(args)
-    _check_manifest(manifest, "repair", "model")
+    with _flag_names("repair"):
+        _check_manifest(manifest, "repair", "model")
     model = load_model(manifest.model)
+    _bind("repair_continuity")
     repaired, report = repair_continuity(model, manifest.k, manifest.boundary_mode)
     outdir = Path(manifest.out)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -644,10 +661,23 @@ def _cmd_eval(args) -> int:
     if manifest.k > model.degree:
         # every derivative column past the degree is zero
         raise ValueError(f"--k {manifest.k} exceeds the model's degree {model.degree}")
+    if _underflows(model, manifest.resolution):
+        m = model.num_segments
+        _check_bytes(f"--resolution {manifest.resolution} and --k {manifest.k}",
+                     (m * (manifest.resolution - 1) + 1) * (manifest.k + 2),
+                     f"one curve block of all {m} segments, as a grid step underflows to 0,")
     outdir = Path(manifest.out)
     outdir.mkdir(parents=True, exist_ok=True)
     _write_curve(model, manifest.k, manifest.resolution, outdir / "curve.csv")
     return 0
+
+
+_COMMANDS = {
+    "fit": ("fit a spline to CSV samples", _cmd_fit),
+    "sweep": ("fit once per lambda value", _cmd_sweep),
+    "repair": ("repair a saved model", _cmd_repair),
+    "eval": ("sample a saved model to curve.csv", _cmd_eval),
+}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -658,49 +688,25 @@ class _Parser(argparse.ArgumentParser):
 
 
 def main(argv=None) -> int:
-    argv = sys.argv[1:] if argv is None else list(argv)
-    # each command loads what it calls before the parser is built
-    if argv[:1] in (["fit"], ["sweep"]):
-        _bind(*_LAZY)
-    elif argv[:1] == ["repair"]:
-        _bind("repair_continuity")
-    parser = _Parser(
-        prog="ckspline",
-        description="Piecewise-polynomial curve fitting with gradient descent "
-                    "and exact continuity repair.",
-    )
+    parser = _Parser(prog="ckspline", description="Piecewise-polynomial curve fitting with "
+                     "gradient descent and exact continuity repair.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    fit_parser = sub.add_parser("fit", help="fit a spline to CSV samples")
-    _add_common(fit_parser)
-    _add_fit_flags(fit_parser)
-    fit_parser.add_argument("--repair", action=argparse.BooleanOptionalAction, default=None,
-                            help="apply continuity repair after fitting")
-    fit_parser.set_defaults(handler=_cmd_fit)
-
-    sweep_parser = sub.add_parser("sweep", help="fit once per lambda value")
-    _add_common(sweep_parser)
-    _add_fit_flags(sweep_parser)
-    sweep_parser.add_argument("--lambdas", help="comma-separated lambda values")
-    sweep_parser.set_defaults(handler=_cmd_sweep)
-
-    repair_parser = sub.add_parser("repair", help="repair a saved model")
-    _add_common(repair_parser)
-    repair_parser.add_argument("--model", help="model.json to repair")
-    repair_parser.add_argument("--k", type=int)
-    repair_parser.add_argument("--boundary-mode", dest="boundary_mode",
-                               choices=BOUNDARY_MODES)
-    repair_parser.set_defaults(handler=_cmd_repair)
-
-    eval_parser = sub.add_parser("eval", help="sample a saved model to curve.csv")
-    _add_common(eval_parser)
-    eval_parser.add_argument("--model", help="model.json to evaluate")
-    eval_parser.add_argument("--k", type=int, help="highest derivative column")
-    eval_parser.set_defaults(handler=_cmd_eval)
+    for command, (help, _) in _COMMANDS.items():
+        command_parser = sub.add_parser(command, help=help)
+        command_parser.add_argument("--config", help="flat key=value configuration file")
+        for option in fields(RunManifest):
+            if command in option.metadata["commands"]:
+                kind = _TYPES[option.name]
+                how = {"action": argparse.BooleanOptionalAction} if kind is bool else {
+                    "type": None if kind is str else kind, "choices": option.metadata["choices"]}
+                command_parser.add_argument(_flag(option), dest=option.name,
+                                            help=option.metadata["help"], **how)
+        if command == "sweep":
+            command_parser.add_argument("--lambdas", help="comma-separated lambda values")
 
     try:
         args = parser.parse_args(argv)
-        return args.handler(args)
+        return _COMMANDS[args.command][1](args)
     except (ValueError, ConditioningError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

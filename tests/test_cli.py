@@ -1,6 +1,7 @@
 import argparse
 import io
 import json
+import shlex
 import tracemalloc
 
 import numpy as np
@@ -531,6 +532,95 @@ def test_fit_unknown_config_key(tmp_path, capsys):
     assert main(["fit", "--config", str(config)]) == 1
 
 
+class _Parsed(Exception):
+    """Carries the parser that main built out of main."""
+
+
+def command_parsers(monkeypatch) -> dict:
+    """Each command's parser, as main builds it for a fit."""
+    def parse_args(self, args=None, namespace=None):
+        raise _Parsed(self)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(cli._Parser, "parse_args", parse_args)
+        with pytest.raises(_Parsed) as parsed:
+            main(["fit"])
+    parser = parsed.value.args[0]
+    commands = next(action for action in parser._actions
+                    if isinstance(action, argparse._SubParsersAction))
+    return commands.choices
+
+
+def entry(dest, type=None, choices=None, boolean=False):
+    return dest, type, choices, boolean
+
+
+COMMON_FLAGS = {"-h": entry("help"), "--help": entry("help"), "--config": entry("config"),
+                "--out": entry("out"), "--resolution": entry("resolution", "int")}
+TRAINING_FLAGS = {
+    "--input": entry("input"), "--segments": entry("segments", "int"),
+    "--degree": entry("degree", "int"), "--k": entry("k", "int"),
+    "--lambda": entry("lam", "float"), "--epochs": entry("epochs", "int"),
+    "--optimizer": entry("optimizer", None, ("sgd", "adam", "adamax", "amsgrad")),
+    "--lr": entry("lr", "float"), "--momentum": entry("momentum", "float"),
+    "--nesterov": entry("nesterov", boolean=True), "--no-nesterov": entry("nesterov", boolean=True),
+    "--regularization": entry("regularization", None, ("none", "degree_based")),
+    "--init": entry("init", None, ("zeros", "least_squares")),
+    "--scaling": entry("scaling", None, ("none", "unit_segments")),
+    "--boundary-mode": entry("boundary_mode", None, ("open", "cyclic", "periodic")),
+    "--strain-weight": entry("strain_weight", "float"),
+    "--record-every": entry("record_every", "int"),
+}
+PARSER_SURFACE = {
+    "fit": {**COMMON_FLAGS, **TRAINING_FLAGS, "--repair": entry("repair", boolean=True),
+            "--no-repair": entry("repair", boolean=True)},
+    "sweep": {**COMMON_FLAGS, **TRAINING_FLAGS, "--lambdas": entry("lambdas")},
+    "repair": {**COMMON_FLAGS, "--model": entry("model"), "--k": entry("k", "int"),
+               "--boundary-mode": TRAINING_FLAGS["--boundary-mode"]},
+    "eval": {**COMMON_FLAGS, "--model": entry("model"), "--k": entry("k", "int")},
+}
+
+
+def test_parser_surface_is_pinned(monkeypatch):
+    # every option string of every command, with its dest, type, choices and
+    # whether it is a --x/--no-x pair
+    surface = {
+        command: {option: entry(action.dest, getattr(action.type, "__name__", None),
+                               tuple(action.choices) if action.choices else None,
+                               isinstance(action, argparse.BooleanOptionalAction))
+                  for action in parser._actions for option in action.option_strings}
+        for command, parser in command_parsers(monkeypatch).items()
+    }
+    assert surface == PARSER_SURFACE
+
+
+def test_every_fit_flag_has_a_config_key_giving_the_same_manifest(tmp_path, monkeypatch):
+    # the key is the field name, and a flag spelled otherwise is a key too
+    default = cli.RunManifest()
+    fit = command_parsers(monkeypatch)["fit"]
+    flags = [action for action in fit._actions
+             if action.option_strings and action.dest not in ("help", "config")]
+    assert {action.dest for action in flags} == set(vars(default)) - {"model", "beta1", "beta2",
+                                                                       "epsilon"}
+    for action in flags:
+        old = getattr(default, action.dest)
+        option = action.option_strings[0]
+        if isinstance(action, argparse.BooleanOptionalAction):
+            argv, raw = [option], "true"
+        else:
+            raw = (next(choice for choice in action.choices if choice != old) if action.choices
+                   else "path.csv" if isinstance(old, str) else str(old + 3))
+            argv = [option, raw]
+        from_flag = cli._build_manifest(fit.parse_args(argv))
+        assert from_flag != default, argv
+        keys = {action.dest, option[2:]}
+        for key in keys:
+            config = tmp_path / "run.conf"
+            config.write_text(f"{key} = {raw}\n")
+            from_key = cli._build_manifest(argparse.Namespace(config=str(config)))
+            assert from_key == from_flag, key
+
+
 LINE_CSV = "x,y\n0,0\n0.5,0.5\n1,1\n"
 
 
@@ -574,15 +664,15 @@ def test_config_errors_exit_1_with_one_error_line(tmp_path, capsys, monkeypatch,
 
 
 @pytest.mark.parametrize("argv, message", [
-    ("fit --input data.csv --out run --lr 0", "learning_rate must be > 0"),
-    ("fit --input data.csv --out run --segments 0", "segments must be >= 1"),
-    ("fit --input data.csv --out run --lambda 2", "lam must lie in [0, 1], got 2.0"),
+    ("fit --input data.csv --out run --lr 0", "--lr must be > 0"),
+    ("fit --input data.csv --out run --segments 0", "--segments must be >= 1"),
+    ("fit --input data.csv --out run --lambda 2", "--lambda must lie in [0, 1], got 2.0"),
     ("fit --input data.csv --out run --k -1", "--k must be >= 0, got -1"),
     ("fit --input data.csv --out run --resolution 1", "--resolution must be >= 2, got 1"),
     ("fit --input data.csv --out run --segments abc", "argument --segments: invalid int value"),
     ("fit --input data.csv --out run --optimizer rmsprop", "argument --optimizer: invalid choice"),
     ("fit --input data.csv --out run --bogus 1", "unrecognized arguments: --bogus 1"),
-    ("sweep --input data.csv --out run --lambdas 2", "lam must lie in [0, 1], got 2.0"),
+    ("sweep --input data.csv --out run --lambdas 2", "--lambdas must lie in [0, 1], got 2.0"),
     ("sweep --input data.csv --out run --lambdas ,", "--lambdas must not be empty"),
     ("repair --model model.json --out run --k -1", "--k must be >= 0, got -1"),
     ("eval --model model.json --out run --k -1", "--k must be >= 0, got -1"),
@@ -590,7 +680,8 @@ def test_config_errors_exit_1_with_one_error_line(tmp_path, capsys, monkeypatch,
     ("", "the following arguments are required: command"),
     ("fit --input data.csv --out run --k 6 --degree 5",
      "continuity order k=6 exceeds spline degree 5"),
-    ("repair --model model.json --out run --config bogus.conf", "boundary_mode must be one of"),
+    ("repair --model model.json --out run --config bogus.conf", "--boundary-mode must be one of"),
+    # eval has no --boundary-mode, so the config key keeps its field's name
     ("eval --model model.json --out run --config bogus.conf", "boundary_mode must be one of"),
 ])
 def test_bad_flag_exits_1_before_any_file_is_read(tmp_path, capsys, monkeypatch, argv, message):
@@ -606,6 +697,65 @@ def test_bad_flag_exits_1_before_any_file_is_read(tmp_path, capsys, monkeypatch,
     assert message in captured.err
     assert "Traceback" not in captured.out + captured.err
     assert [path.name for path in tmp_path.iterdir()] == configs
+
+
+FIT_FLAG_ERRORS = {
+    "--input": ("--input ''", "fit needs --input and --out"),
+    "--out": ("--out ''", "fit needs --input and --out"),
+    "--resolution": ("--resolution 1", "--resolution must be >= 2, got 1"),
+    "--segments": ("--segments 0", "--segments must be >= 1"),
+    "--degree": ("--degree -1", "--degree must be >= 0"),
+    "--k": ("--k -1", "--k must be >= 0, got -1"),
+    "--lambda": ("--lambda 2", "--lambda must lie in [0, 1], got 2.0"),
+    "--epochs": ("--epochs -1", "--epochs must be >= 0"),
+    "--optimizer": ("--optimizer rmsprop", "argument --optimizer: invalid choice: 'rmsprop'"),
+    "--lr": ("--lr 0", "--lr must be > 0"),
+    "--momentum": ("--momentum 1", "--momentum must lie in [0, 1)"),
+    "--nesterov": ("--nesterov --momentum 0", "--nesterov requires momentum > 0"),
+    "--regularization": ("--regularization l1",
+                         "argument --regularization: invalid choice: 'l1'"),
+    "--init": ("--init ones", "argument --init: invalid choice: 'ones'"),
+    "--scaling": ("--scaling unit", "argument --scaling: invalid choice: 'unit'"),
+    "--boundary-mode": ("--boundary-mode wrap", "argument --boundary-mode: invalid choice: 'wrap'"),
+    "--strain-weight": ("--strain-weight -1", "--strain-weight must be finite and >= 0"),
+    "--record-every": ("--record-every 0", "--record-every must be >= 1"),
+}
+
+
+def test_every_fit_flag_with_a_bad_value_is_covered(monkeypatch):
+    # --repair and --nesterov's --no- forms have no bad value
+    fit = command_parsers(monkeypatch)["fit"]
+    flags = {option for action in fit._actions for option in action.option_strings}
+    assert set(FIT_FLAG_ERRORS) == flags - {"-h", "--help", "--config", "--repair",
+                                            "--no-repair", "--no-nesterov"}
+
+
+@pytest.mark.parametrize("flag", FIT_FLAG_ERRORS)
+def test_a_bad_fit_flag_names_that_flag(tmp_path, capsys, monkeypatch, flag):
+    # the library's field names, such as learning_rate, become the flag's;
+    # no file exists, so each error comes before any read
+    monkeypatch.chdir(tmp_path)
+    bad, message = FIT_FLAG_ERRORS[flag]
+    argv = ["fit", "--input", "data.csv", "--out", "run", *shlex.split(bad)]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith(f"error: {message}")
+    assert len(captured.err.splitlines()) == 1 and flag in captured.err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("key, raw, message", [
+    ("boundary_mode", "bogus", "--boundary-mode must be one of ('open', 'cyclic', 'periodic')"),
+    ("regularization", "l1", "--regularization must be one of ('none', 'degree_based')"),
+    ("lambda", "-0.5", "--lambda must lie in [0, 1], got -0.5"),
+    ("epsilon", "0", "epsilon must be > 0"),  # a config key with no flag keeps its name
+    ("beta1", "1", "beta1 and beta2 must lie in [0, 1)"),
+])
+def test_a_bad_config_value_names_the_fit_flag(tmp_path, capsys, monkeypatch, key, raw, message):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "run.conf").write_text(f"{key} = {raw}\n")
+    assert main("fit --input data.csv --out run --config run.conf".split()) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -636,6 +786,31 @@ def test_flag_asking_for_more_than_the_ceiling_exits_1_before_allocating(
     captured = capsys.readouterr()
     assert code == 1 and captured.out == ""
     assert captured.err == f"error: {message} is above the 1 GiB ceiling\n"
+    assert peak < 256 * 1024
+    assert not (tmp_path / "run").exists()
+
+
+def test_one_curve_block_above_the_ceiling_exits_1_after_the_model_loads(
+        tmp_path, capsys, monkeypatch):
+    # segments 5e-324 wide: every grid step underflows to 0, so _write_curve
+    # would build all 8 x 10,000,000 rows as one block of 2.4 GiB, while a
+    # block of the flags' estimate (10,000,001 rows) fits
+    monkeypatch.chdir(tmp_path)
+    save_model(SplineModel.from_breakpoints(np.arange(9) * 5e-324, 2), tmp_path / "model.json")
+    argv = "eval --model model.json --out run --k 2 --resolution 10000001".split()
+    main(["eval", "--bogus"])  # builds a parser once, outside the trace
+    capsys.readouterr()
+    tracemalloc.start()
+    try:
+        code = main(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err == (
+        "error: --resolution 10000001 and --k 2: 2.4 GiB of one curve block of all 8 segments, "
+        "as a grid step underflows to 0, is above the 1 GiB ceiling\n")
     assert peak < 256 * 1024
     assert not (tmp_path / "run").exists()
 
