@@ -6,8 +6,14 @@ of options: each field's line states its default, the commands whose flag
 sets it, its TrainConfig target, its choices and its help.  The parser,
 the config keys and to_train_config are built from it, and an error that
 starts with a library field names the command's flag instead (--lr, not
-learning_rate).  beta1, beta2 and epsilon are config keys with no flag;
---config and sweep's --lambdas are flags with no key.
+learning_rate).  A command takes only the flags it uses: --resolution is a
+flag of the commands that write curve.csv (fit, sweep, eval) and --lambda
+of fit alone, as a sweep's lambdas come from --lambdas.  Flags are spelled
+in full.  beta1, beta2 and epsilon are config keys with no flag; --config
+and sweep's --lambdas are flags with no key.  The config keys are the same
+for every command, so one file serves them all, and a key's value is
+checked against its field's choices as the file is read, as argparse
+checks a flag's.
 
 Results land in the output directory as model.json, history.csv, curve.csv,
 and repair.json (plus summary.csv for a sweep).  One writer, _text._rows,
@@ -23,9 +29,10 @@ near twice the file's size.
 
 Every command checks its flags before it reads a file, including that no
 flag asks for an array above _MAX_BYTES (1 GiB); the relations that need
-the data (the samples' basis powers, eval's --k against the model's degree
-and its one curve block when a grid step underflows) are checked once the
-file is read, before the tables are built.  Each command loads only the
+the data (the samples' basis powers and eval's --k against the model's
+degree) are checked once the file is read, before the tables are built.
+curve.csv is built and written a block of whole segments at a time, so its
+memory does not grow with the model.  Each command loads only the
 modules it calls: fit and sweep the training modules (losses, optimizers,
 training) and repair, repair only repair, eval neither.  Exit codes: 0
 success, 1 configuration error (including a malformed or unknown flag, a
@@ -66,8 +73,7 @@ import numpy as np
 
 from ._text import _NUMBER, _block_rows, _rows
 from .model import (BOUNDARY_MODES, INITS, OPTIMIZER_KINDS, REGULARIZATIONS, SCALINGS,
-                    ConditioningError, DomainMap, SampleSet, SplineModel, _check_boundary_mode,
-                    _derivatives, evaluate)
+                    ConditioningError, DomainMap, SampleSet, SplineModel, _derivatives, evaluate)
 
 __all__ = [
     "RunManifest",
@@ -80,21 +86,15 @@ __all__ = [
     "console_entry",
 ]
 
-# The names the commands call from the training modules and repair, each
-# with its module.  They are module globals bound on first use, so that
-# repair loads only repair and eval neither: fit and sweep bind them all as
-# they build their TrainConfigs (RunManifest.to_train_config), repair binds
-# repair_continuity once the model is loaded, and any other reader, such as
-# a tracer that wraps cli.fit, loads a name through __getattr__.  _bind
-# keeps a name already bound, a tracer's wrapper too.
-_LAZY = {
-    "LossConfig": "losses",
-    "OptimizerConfig": "optimizers",
-    "TrainConfig": "training",
-    "fit": "training",
-    "fit_sweep": "training",
-    "repair_continuity": "repair",
-}
+# The names the commands call from the training modules and repair, found
+# through the package's own table of exports (ckspline._EXPORTS).  They are
+# module globals bound on first use, so that repair loads only repair and
+# eval neither: fit and sweep bind them all as they build their TrainConfigs
+# (RunManifest.to_train_config), repair binds repair_continuity once the
+# model is loaded, and any other reader, such as a tracer that wraps
+# cli.fit, loads a name through __getattr__.  _bind keeps a name already
+# bound, a tracer's wrapper too.
+_LAZY = ("LossConfig", "OptimizerConfig", "TrainConfig", "fit", "fit_sweep", "repair_continuity")
 # curve.csv rows per block, when a segment's rows fit: a block's grid,
 # values and table take well under 1 MB, and its text goes to the file
 # before the next block is built; smaller blocks cost time per block
@@ -108,7 +108,7 @@ _MAX_BYTES = 1 << 30
 def __getattr__(name):
     if name not in _LAZY:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(importlib.import_module(f".{_LAZY[name]}", __package__), name)
+    value = getattr(importlib.import_module(__package__), name)
     globals()[name] = value
     return value
 
@@ -148,7 +148,7 @@ class RunManifest:
     segments: int = _option(8, _TRAIN, "segments")
     degree: int = _option(5, _TRAIN, "degree")
     k: int = _option(2, _ALL, "loss.k", "continuity order, or eval's highest derivative")
-    lam: float = _option(0.5, _TRAIN, "loss.lam", "blend weight between fit error and "
+    lam: float = _option(0.5, ("fit",), "loss.lam", "blend weight between fit error and "
                          "continuity", flag="--lambda")
     epochs: int = _option(1000, _TRAIN, "epochs")
     optimizer: str = _option("amsgrad", _TRAIN, "optimizer.kind", choices=OPTIMIZER_KINDS)
@@ -164,7 +164,7 @@ class RunManifest:
     boundary_mode: str = _option("open", _TRAIN + ("repair",), "loss.boundary_mode",
                                  choices=BOUNDARY_MODES)
     strain_weight: float = _option(0.0, _TRAIN, "loss.strain_weight")
-    resolution: int = _option(33, _ALL, None, "curve points per segment")
+    resolution: int = _option(33, _TRAIN + ("eval",), None, "curve points per segment")
     record_every: int = _option(10, _TRAIN, "record_every")
     repair: bool = _option(False, ("fit",), None, "apply continuity repair after fitting")
 
@@ -417,15 +417,6 @@ def load_model(path) -> SplineModel:
         raise ValueError(f"{path}: malformed model file: {exc}") from None
 
 
-def _underflows(model: SplineModel, resolution: int) -> bool:
-    """Whether a segment's curve grid step underflows to 0.
-
-    linspace then switches the whole array to another formula, so
-    _write_curve writes such a model as one block.
-    """
-    return bool((np.diff(model.breakpoints) / (resolution - 1) == 0).any())
-
-
 def _write_curve(model: SplineModel, k: int, resolution: int, path: Path):
     """Sampled curve and derivatives 0..k in data coordinates, a block of segments at a time.
 
@@ -434,12 +425,18 @@ def _write_curve(model: SplineModel, k: int, resolution: int, path: Path):
     block is built, so the memory held does not grow with the model.
     """
     xi, m = model.breakpoints, model.num_segments
-    per_block = m if _underflows(model, resolution) else max(1, _CURVE_ROWS // (resolution - 1))
+    per_block = max(1, _CURVE_ROWS // (resolution - 1))
+    # A grid step that underflows to 0 switches one linspace over the whole
+    # model to another formula for every segment.  Each block's linspace
+    # then gets one more segment, of zero width, whose row is dropped: its
+    # step of 0 puts the block on that formula too, so it has that call's bits.
+    pad = [0.0] if (np.diff(xi) / (resolution - 1) == 0).any() else []
 
     def blocks():
         for start in range(0, m, per_block):
             stop = min(start + per_block, m)
-            grid = np.linspace(xi[start:stop], xi[start + 1:stop + 1], resolution, axis=1)
+            lows, highs = np.append(xi[start:stop], pad), np.append(xi[start + 1:stop + 1], pad)
+            grid = np.linspace(lows, highs, resolution, axis=1)[:stop - start]
             points = grid[:, 1:] if start else np.append(grid[0, 0], grid[:, 1:])
             table = np.empty((points.size, k + 2))
             xs = model.domain_map.inverse(points.ravel())
@@ -479,14 +476,19 @@ def run(manifest: RunManifest) -> int:
 
 
 def _check_manifest(manifest: RunManifest, command: str, source: str):
-    """The flag checks all commands share; source names the input path's flag."""
+    """The commands' shared flag checks; source names the input path's flag.
+
+    --resolution and its curve block are checked only for the commands that
+    take the flag, those that write curve.csv; repair writes none.
+    """
     if not getattr(manifest, source) or not manifest.out:
         raise ValueError(f"{command} needs --{source} and --out")
-    if manifest.resolution < 2:
-        raise ValueError(f"--resolution must be >= 2, got {manifest.resolution}")
     if manifest.k < 0:
         raise ValueError(f"--k must be >= 0, got {manifest.k}")
-    _check_boundary_mode(manifest.boundary_mode)
+    if command == "repair":
+        return
+    if manifest.resolution < 2:
+        raise ValueError(f"--resolution must be >= 2, got {manifest.resolution}")
     # a curve block's table: at most max(_CURVE_ROWS, resolution - 1) + 1
     # rows (_write_curve) of k + 2 columns
     rows = max(_CURVE_ROWS, manifest.resolution - 1) + 1
@@ -617,13 +619,22 @@ def _read_manifest_file(path: Path) -> dict:
 
 
 def _build_manifest(args: argparse.Namespace) -> RunManifest:
-    """The defaults, then the --config file's keys, then the flags given."""
+    """The defaults, then the --config file's keys, then the flags given.
+
+    A config value of a field with choices must be one of them, as its
+    flag's value must, whether or not the command reads the field.
+    """
     manifest = RunManifest()
     if getattr(args, "config", None):
+        choices = {option.name: option.metadata["choices"] for option in fields(RunManifest)}
         for key, raw in _read_manifest_file(Path(args.config)).items():
             if key not in _TYPES:
                 raise ValueError(f"unknown config key {key!r}")
-            setattr(manifest, key, _coerce(f"config key {key}", raw, _TYPES[key]))
+            value = _coerce(f"config key {key}", raw, _TYPES[key])
+            if choices[key] and value not in choices[key]:
+                raise ValueError(f"config key {key}: expected one of {choices[key]}, "
+                                 f"got {value!r}")
+            setattr(manifest, key, value)
     return replace(manifest, **{name: value for name, value in vars(args).items()
                                 if name in _TYPES and value is not None})
 
@@ -640,8 +651,7 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_repair(args) -> int:
     manifest = _build_manifest(args)
-    with _flag_names("repair"):
-        _check_manifest(manifest, "repair", "model")
+    _check_manifest(manifest, "repair", "model")
     model = load_model(manifest.model)
     _bind("repair_continuity")
     repaired, report = repair_continuity(model, manifest.k, manifest.boundary_mode)
@@ -661,11 +671,6 @@ def _cmd_eval(args) -> int:
     if manifest.k > model.degree:
         # every derivative column past the degree is zero
         raise ValueError(f"--k {manifest.k} exceeds the model's degree {model.degree}")
-    if _underflows(model, manifest.resolution):
-        m = model.num_segments
-        _check_bytes(f"--resolution {manifest.resolution} and --k {manifest.k}",
-                     (m * (manifest.resolution - 1) + 1) * (manifest.k + 2),
-                     f"one curve block of all {m} segments, as a grid step underflows to 0,")
     outdir = Path(manifest.out)
     outdir.mkdir(parents=True, exist_ok=True)
     _write_curve(model, manifest.k, manifest.resolution, outdir / "curve.csv")
@@ -692,7 +697,8 @@ def main(argv=None) -> int:
                      "gradient descent and exact continuity repair.")
     sub = parser.add_subparsers(dest="command", required=True)
     for command, (help, _) in _COMMANDS.items():
-        command_parser = sub.add_parser(command, help=help)
+        # flags are spelled in full: sweep would read --lambda as --lambdas
+        command_parser = sub.add_parser(command, help=help, allow_abbrev=False)
         command_parser.add_argument("--config", help="flat key=value configuration file")
         for option in fields(RunManifest):
             if command in option.metadata["commands"]:

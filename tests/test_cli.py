@@ -556,11 +556,13 @@ def entry(dest, type=None, choices=None, boolean=False):
 
 
 COMMON_FLAGS = {"-h": entry("help"), "--help": entry("help"), "--config": entry("config"),
-                "--out": entry("out"), "--resolution": entry("resolution", "int")}
+                "--out": entry("out")}
+# the flag of the commands that write curve.csv
+RESOLUTION_FLAG = {"--resolution": entry("resolution", "int")}
 TRAINING_FLAGS = {
     "--input": entry("input"), "--segments": entry("segments", "int"),
     "--degree": entry("degree", "int"), "--k": entry("k", "int"),
-    "--lambda": entry("lam", "float"), "--epochs": entry("epochs", "int"),
+    "--epochs": entry("epochs", "int"),
     "--optimizer": entry("optimizer", None, ("sgd", "adam", "adamax", "amsgrad")),
     "--lr": entry("lr", "float"), "--momentum": entry("momentum", "float"),
     "--nesterov": entry("nesterov", boolean=True), "--no-nesterov": entry("nesterov", boolean=True),
@@ -572,12 +574,16 @@ TRAINING_FLAGS = {
     "--record-every": entry("record_every", "int"),
 }
 PARSER_SURFACE = {
-    "fit": {**COMMON_FLAGS, **TRAINING_FLAGS, "--repair": entry("repair", boolean=True),
+    "fit": {**COMMON_FLAGS, **RESOLUTION_FLAG, **TRAINING_FLAGS,
+            "--lambda": entry("lam", "float"), "--repair": entry("repair", boolean=True),
             "--no-repair": entry("repair", boolean=True)},
-    "sweep": {**COMMON_FLAGS, **TRAINING_FLAGS, "--lambdas": entry("lambdas")},
+    # every lambda of a sweep comes from --lambdas
+    "sweep": {**COMMON_FLAGS, **RESOLUTION_FLAG, **TRAINING_FLAGS, "--lambdas": entry("lambdas")},
+    # repair writes no curve.csv
     "repair": {**COMMON_FLAGS, "--model": entry("model"), "--k": entry("k", "int"),
                "--boundary-mode": TRAINING_FLAGS["--boundary-mode"]},
-    "eval": {**COMMON_FLAGS, "--model": entry("model"), "--k": entry("k", "int")},
+    "eval": {**COMMON_FLAGS, **RESOLUTION_FLAG, "--model": entry("model"),
+             "--k": entry("k", "int")},
 }
 
 
@@ -675,14 +681,23 @@ def test_config_errors_exit_1_with_one_error_line(tmp_path, capsys, monkeypatch,
     ("sweep --input data.csv --out run --lambdas 2", "--lambdas must lie in [0, 1], got 2.0"),
     ("sweep --input data.csv --out run --lambdas ,", "--lambdas must not be empty"),
     ("repair --model model.json --out run --k -1", "--k must be >= 0, got -1"),
+    # repair writes no curve, and a sweep's lambdas come from --lambdas only;
+    # flags are spelled in full, so --lambda is not read as --lambdas
+    ("repair --model model.json --out run --resolution 5",
+     "unrecognized arguments: --resolution 5"),
+    ("sweep --input data.csv --out run --lambdas 1 --lambda 0.3",
+     "unrecognized arguments: --lambda 0.3"),
     ("eval --model model.json --out run --k -1", "--k must be >= 0, got -1"),
     ("eval --model model.json --out run --resolution 1", "--resolution must be >= 2, got 1"),
     ("", "the following arguments are required: command"),
     ("fit --input data.csv --out run --k 6 --degree 5",
      "continuity order k=6 exceeds spline degree 5"),
-    ("repair --model model.json --out run --config bogus.conf", "--boundary-mode must be one of"),
-    # eval has no --boundary-mode, so the config key keeps its field's name
-    ("eval --model model.json --out run --config bogus.conf", "boundary_mode must be one of"),
+    # a config value outside its choices names the key, for a command that
+    # reads it and for eval, which does not
+    ("repair --model model.json --out run --config bogus.conf",
+     "config key boundary_mode: expected one of ('open', 'cyclic', 'periodic'), got 'bogus'"),
+    ("eval --model model.json --out run --config bogus.conf",
+     "config key boundary_mode: expected one of ('open', 'cyclic', 'periodic'), got 'bogus'"),
 ])
 def test_bad_flag_exits_1_before_any_file_is_read(tmp_path, capsys, monkeypatch, argv, message):
     # neither data.csv nor model.json exists, so a read would exit 3; a config
@@ -745,8 +760,6 @@ def test_a_bad_fit_flag_names_that_flag(tmp_path, capsys, monkeypatch, flag):
 
 
 @pytest.mark.parametrize("key, raw, message", [
-    ("boundary_mode", "bogus", "--boundary-mode must be one of ('open', 'cyclic', 'periodic')"),
-    ("regularization", "l1", "--regularization must be one of ('none', 'degree_based')"),
     ("lambda", "-0.5", "--lambda must lie in [0, 1], got -0.5"),
     ("epsilon", "0", "epsilon must be > 0"),  # a config key with no flag keeps its name
     ("beta1", "1", "beta1 and beta2 must lie in [0, 1)"),
@@ -756,6 +769,27 @@ def test_a_bad_config_value_names_the_fit_flag(tmp_path, capsys, monkeypatch, ke
     (tmp_path / "run.conf").write_text(f"{key} = {raw}\n")
     assert main("fit --input data.csv --out run --config run.conf".split()) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("key, raw, message", [
+    pytest.param("optimizer", "bogus", "('sgd', 'adam', 'adamax', 'amsgrad'), got 'bogus'",
+                 id="fit-optimizer"),
+    pytest.param("boundary_mode", "bogus", "('open', 'cyclic', 'periodic'), got 'bogus'",
+                 id="fit-boundary_mode"),
+    pytest.param("regularization", "l1", "('none', 'degree_based'), got 'l1'",
+                 id="fit-regularization"),
+])
+def test_a_config_value_outside_its_choices_names_the_key(tmp_path, capsys, monkeypatch, key,
+                                                          raw, message):
+    # checked as the config file is read, as argparse checks a flag's value;
+    # test_bad_flag_exits_1_before_any_file_is_read has repair's and eval's
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "run.conf").write_text(f"{key} = {raw}\n")
+    assert main("fit --input data.csv --out run --config run.conf".split()) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: config key {key}: expected one of {message}\n"
+    assert [path.name for path in tmp_path.iterdir()] == ["run.conf"]
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -786,31 +820,6 @@ def test_flag_asking_for_more_than_the_ceiling_exits_1_before_allocating(
     captured = capsys.readouterr()
     assert code == 1 and captured.out == ""
     assert captured.err == f"error: {message} is above the 1 GiB ceiling\n"
-    assert peak < 256 * 1024
-    assert not (tmp_path / "run").exists()
-
-
-def test_one_curve_block_above_the_ceiling_exits_1_after_the_model_loads(
-        tmp_path, capsys, monkeypatch):
-    # segments 5e-324 wide: every grid step underflows to 0, so _write_curve
-    # would build all 8 x 10,000,000 rows as one block of 2.4 GiB, while a
-    # block of the flags' estimate (10,000,001 rows) fits
-    monkeypatch.chdir(tmp_path)
-    save_model(SplineModel.from_breakpoints(np.arange(9) * 5e-324, 2), tmp_path / "model.json")
-    argv = "eval --model model.json --out run --k 2 --resolution 10000001".split()
-    main(["eval", "--bogus"])  # builds a parser once, outside the trace
-    capsys.readouterr()
-    tracemalloc.start()
-    try:
-        code = main(argv)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    captured = capsys.readouterr()
-    assert code == 1 and captured.out == ""
-    assert captured.err == (
-        "error: --resolution 10000001 and --k 2: 2.4 GiB of one curve block of all 8 segments, "
-        "as a grid step underflows to 0, is above the 1 GiB ceiling\n")
     assert peak < 256 * 1024
     assert not (tmp_path / "run").exists()
 
@@ -947,6 +956,39 @@ def test_curve_write_memory_does_not_grow_with_segments_or_resolution(tmp_path, 
         finally:
             tracemalloc.stop()
     assert peaks[1] <= peaks[0] + 16 * 1024
+
+
+def test_curve_of_an_underflowing_grid_step_is_written_in_bounded_blocks(tmp_path, monkeypatch):
+    # a first segment 5e-324 wide: its grid step underflows to 0, which puts
+    # one linspace over the whole model on another formula for every segment;
+    # eval must give that call's bits and still build curve.csv a block at a
+    # time, within twice the peak of the same model on uniform breakpoints
+    monkeypatch.chdir(tmp_path)
+    m, resolution, k = 4096, 33, 3
+    coefficients = np.random.default_rng(71).normal(size=(m, 8))
+    underflowing = np.arange(m + 1.0)
+    underflowing[1] = 5e-324
+    peaks = {}
+    for name, breakpoints in (("uniform", np.arange(m + 1.0)), ("underflow", underflowing)):
+        save_model(SplineModel.from_breakpoints(breakpoints, 7, coefficients), f"{name}.json")
+        argv = f"eval --model {name}.json --out {name} --k {k} --resolution {resolution}".split()
+        assert main(argv) == 0  # warm caches, outside the trace
+        tracemalloc.start()
+        try:
+            assert main(argv) == 0
+            peaks[name] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peaks["underflow"] <= 2 * peaks["uniform"], peaks
+    model = load_model("underflow.json")
+    xi = model.breakpoints
+    assert np.diff(xi)[0] / (resolution - 1) == 0  # the first segment's step underflows
+    grid = np.linspace(xi[:-1], xi[1:], resolution, axis=1)
+    xs = model.domain_map.inverse(np.append(grid[0, 0], grid[:, 1:]))
+    table = np.column_stack([xs] + [evaluate(model, xs, j) for j in range(k + 1)])
+    row = ",".join(["%.17g"] * (k + 2)) + "\n"
+    expected = "x,f,d1,d2,d3\n" + "".join(row % tuple(values) for values in table.tolist())
+    assert (tmp_path / "underflow" / "curve.csv").read_text() == expected
 
 
 def test_history_rows_satisfy_blend_identity(tmp_path):
